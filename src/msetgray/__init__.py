@@ -30,10 +30,8 @@ from .engine import (
     EngineError,
     EngineExhausted,
     GrayEngine,
-    OP_COUNT_CEILING,
-    StepTrace,
+    counted_advance,
     generate,
-    run_instrumented,
 )
 from .inplace import ContainerState, apply_move, init_container, iter_with_container
 from .reference import brute_force, gray_generate_recursive, lex_generate
@@ -57,16 +55,15 @@ __all__ = [
     "InvalidSpecError",
     "LexTreeNode",
     "MultisetSpec",
-    "OP_COUNT_CEILING",
     "OracleLimitError",
     "ParityMode",
-    "StepTrace",
     "TransitionDelta",
     "apply_delta",
     "apply_move",
     "brute_force",
     "build_lexico_tree",
     "count_closure",
+    "counted_advance",
     "count_dp",
     "count_inclusion_exclusion",
     "export_dot",
@@ -80,7 +77,6 @@ __all__ = [
     "last_combination",
     "leaf_sequence",
     "lex_generate",
-    "run_instrumented",
     "run_spec_checks",
     "to_inplace",
     "twist",

@@ -107,6 +107,18 @@ def first_combination(spec: MultisetSpec) -> tuple[tuple[int, ...], int]:
     return tuple(a), i0
 
 
+def suffix_capacities(spec: MultisetSpec) -> list[int]:
+    """b[i] = m[i] + ... + m[n], 1-based, with b[0] = 0 and sentinel b[n+1] = 0.
+
+    A prefix holding s units leaves level i room for
+    max(k - s - b[i+1], 0) .. min(m[i], k - s).
+    """
+    b = [0] * (spec.n + 2)
+    for i in range(spec.n, 0, -1):
+        b[i] = b[i + 1] + spec.m[i - 1]
+    return b
+
+
 def last_combination(spec: MultisetSpec) -> tuple[int, ...]:
     """Lexicographically largest combination (boxes filled left to right)."""
     validate(spec)

@@ -1,7 +1,7 @@
 """Loopless generator of adjacent bounded multiset combinations.
 
 Each call to :meth:`GrayEngine.advance` produces the next combination with
-a fixed number of arithmetic/compare/assign operations -- no loop, no
+a bounded number of arithmetic/compare/assign operations -- no loop, no
 recursion -- and reports the step as a (inc, dec) position pair.  The
 enumeration is conceptually a traversal of the twisted lexicographic tree
 of the object set: children of a tree node are the feasible values of the
@@ -41,13 +41,19 @@ Instances whose object set is a single vector (k = 0, k = sum(m), and
 any fully forced chain) never enter the traversal; the engine reports
 the one object and finishes.
 
+Nothing in advance() watches the step.  :func:`counted_advance` counts
+the bytecodes one step executes from outside, through the interpreter's
+trace hook; the tests hold that count under a frozen ceiling for n from
+10 to 1000, and ``msetgray verify --trace`` reports it per step.
+
 One engine serves one sequential consumer; independent engines may run
 in parallel freely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from itertools import islice
 from typing import Iterator, Optional
 
 from .core import (
@@ -55,6 +61,7 @@ from .core import (
     TransitionDelta,
     first_combination,
     last_combination,
+    suffix_capacities,
     validate,
 )
 
@@ -67,23 +74,6 @@ class EngineExhausted(EngineError):
     """advance() was called again after the run already finished."""
 
 
-# Frozen regression ceiling for the per-step operation tally (see
-# advance()).  Measured once on small instances; independent of n, k, m.
-# Structurally: crossing (20) + last-child bookkeeping (34) + descent (4).
-OP_COUNT_CEILING = 58
-
-
-@dataclass(frozen=True)
-class StepTrace:
-    """Instrumentation record for one advance."""
-
-    level: int
-    delta: TransitionDelta
-    went_up: bool
-    went_down: bool
-    op_count: int
-
-
 class GrayEngine:
     """Stateful loopless iterator over one spec's combinations.
 
@@ -94,10 +84,9 @@ class GrayEngine:
     A spec with N objects yields N - 1 deltas.
     """
 
-    def __init__(self, spec: MultisetSpec, debug: bool = False):
+    def __init__(self, spec: MultisetSpec):
         validate(spec)
         self.spec = spec
-        self._debug = debug
         n = spec.n
         k = spec.k
         self._n = n
@@ -106,27 +95,20 @@ class GrayEngine:
 
         a, i0 = first_combination(spec)
         self._a = [0] + list(a)
-
-        # Last trace fields (valid after each delta-returning advance).
-        self._last_level = 0
-        self._last_delta: Optional[TransitionDelta] = None
-        self._last_up = False
-        self._last_down = False
-        self._last_ops = 0
+        self._b = suffix_capacities(spec)
+        self._finished = False
+        self._up = list(range(n + 1))
+        self._up1 = list(range(n + 1))
+        self._solve = [n] * (n + 1)
+        self._mark = [False] * (n + 1)
 
         if a == last_combination(spec):
             # Single-object instance: nothing to traverse.
             self._i = 0
             self._start = 0
-            self._finished = False
-            self._b = [0] * (n + 2)
             self._d = [0] * (n + 1)
             self._sum = [0] * (n + 1)
-            self._up = list(range(n + 1))
-            self._up1 = list(range(n + 1))
             self._down = [0] * (n + 1)
-            self._solve = [n] * (n + 1)
-            self._mark = [False] * (n + 1)
             return
 
         # The first change happens at the deepest level with a sibling
@@ -136,21 +118,10 @@ class GrayEngine:
         start = i0 if i0 < n else n - 1
         self._start = start
         self._i = start
-        self._finished = False
-
-        b = [0] * (n + 2)
-        for i in range(n, 0, -1):
-            b[i] = b[i + 1] + self._m[i]
-        self._b = b
 
         # d[0] stays 0: it is read through d[up[i]] when the return level
         # is the root, where no direction bias must apply.
-        d = [0] * (n + 1)
-        for i in range(1, start + 1):
-            d[i] = 1
-        for i in range(start + 1, n + 1):
-            d[i] = -1
-        self._d = d
+        self._d = [0] + [1] * start + [-1] * (n - start)
 
         sums = [0] * (n + 1)
         for i in range(2, n + 1):
@@ -161,14 +132,7 @@ class GrayEngine:
             sums[i] += 1
         self._sum = sums
 
-        self._up = list(range(n + 1))
-        self._up1 = list(range(n + 1))
-        self._solve = [n] * (n + 1)
-        self._mark = [False] * (n + 1)
-        down = [0] * (n + 1)
-        for i in range(1, n):
-            down[i] = n - 1
-        self._down = down
+        self._down = [0] + [n - 1] * (n - 1) + [0]
 
     # -- read-only views ------------------------------------------------
 
@@ -230,19 +194,6 @@ class GrayEngine:
     def mark(self) -> tuple[bool, ...]:
         return tuple(self._mark[1:])
 
-    @property
-    def last_trace(self) -> Optional[StepTrace]:
-        """Trace of the most recent delta-returning advance, if any."""
-        if self._last_delta is None:
-            return None
-        return StepTrace(
-            level=self._last_level,
-            delta=self._last_delta,
-            went_up=self._last_up,
-            went_down=self._last_down,
-            op_count=self._last_ops,
-        )
-
     def current(self) -> tuple[int, ...]:
         """The combination the engine currently stands on."""
         return tuple(self._a[1:])
@@ -252,8 +203,8 @@ class GrayEngine:
     def advance(self) -> Optional[TransitionDelta]:
         """Move to the next combination; None exactly once at the end.
 
-        Straight-line code: the operation tally (last_trace.op_count) is
-        bounded by OP_COUNT_CEILING regardless of n, k, m.
+        Straight-line code: no loop, no recursion, no call but the delta's
+        constructor, so the work per step does not depend on n, k or m.
         """
         if self._finished:
             raise EngineExhausted("advance() called after the run finished")
@@ -261,7 +212,6 @@ class GrayEngine:
         if i == 0:
             self._finished = True
             return None
-        level = i
 
         a = self._a
         b = self._b
@@ -274,14 +224,6 @@ class GrayEngine:
         mark = self._mark
         k = self._k
 
-        if self._debug:
-            # Prefix-sum contract at evaluation points only; pre-adjusted
-            # values for pending shallower changes make it false elsewhere.
-            assert sums[i] == sum(a[1:i]), (
-                f"sum[{i}]={sums[i]} != prefix {sum(a[1:i])} (a={a[1:]})"
-            )
-
-        ops = 5  # lower/upper window
         s = sums[i]
         lower = k - b[i + 1] - s
         if lower < 0:
@@ -291,7 +233,6 @@ class GrayEngine:
             upper = self._m[i]
 
         di = d[i]
-        ops += 4  # arrival test
         if (di > 0 and a[i] == upper) or (di < 0 and a[i] == lower):
             # Arrival nodes always have a sibling in their direction; a
             # hit here means the link bookkeeping went wrong.
@@ -300,7 +241,6 @@ class GrayEngine:
                 f"d[i]={di}, window [{lower},{upper}]"
             )
 
-        ops += 6  # crossing
         j = solve[i]
         a[i] += di
         a[j] -= di
@@ -309,18 +249,12 @@ class GrayEngine:
         else:
             delta = TransitionDelta(inc=j, dec=i)
 
-        ops += 1
         up[i] = i
 
-        went_up = False
-        went_down = False
-        ops += 4  # last-child test
         if (di > 0 and a[i] == upper) or (di < 0 and a[i] == lower):
             # Landed on the last child: prepare the opposite path.
-            ops += 2
             up[i] = up[i - 1]
             up[i - 1] = i - 1
-            ops += 8  # opposite-side window
             dup = d[up[i]]
             lower1 = k - b[i + 1] - s - dup
             if lower1 < 0:
@@ -328,33 +262,25 @@ class GrayEngine:
             upper1 = k - s - dup
             if self._m[i] < upper1:
                 upper1 = self._m[i]
-            ops += 1
             nxt = upper1 if di > 0 else lower1
-            ops += 2
             if nxt != a[i]:
                 solve[up[i]] = i
             else:
                 solve[up[i]] = solve[i]
-            ops += 2
             mark[up[i]] = True
             mark[i] = True
-            ops += 5
             up_point = (s + a[i] == k) or (s + a[i] + b[i + 1] == k) or (i == self._n - 1)
-            ops += 2
             if lower1 != upper1:
                 # Prepare sum[i] for the opposite path: the pending change
                 # at the return level will have shifted the prefix by d.
                 sums[i] = s + dup
-            ops += 5
             next_landing = (
                 (sums[i] + nxt == k)
                 or (sums[i] + nxt + b[i + 1] == k)
                 or (i == self._n - 1)
             )
-            ops += 2
             up1[i] = up1[i - 1]
             up1[i - 1] = i - 1
-            ops += 2
             if lower1 == upper1:
                 # Forced next node: route the landing link through up1 so
                 # deeper levels can keep patching it.
@@ -363,43 +289,29 @@ class GrayEngine:
                 down[up[i]] = i
             else:
                 down[up[i]] = down[i]
-            ops += 1
             if next_landing:
                 up1[i] = i
-            ops += 1
             d[i] = -di
 
-            ops += 1
             if up_point:
                 # Straight line below: jump back to the return level.
-                ops += 3
                 ii = i
                 i = up[i]
                 up[ii] = ii
-                went_up = True
             else:
-                ops += 4
                 if not mark[down[i]]:
                     solve[down[i]] = solve[i]
                 mark[i] = False
                 i = down[i]
-                went_down = True
         else:
             # Not a last child: the next change is deeper on the path
             # just entered.
-            ops += 4
             if not mark[down[i]]:
                 solve[down[i]] = solve[i]
             mark[i] = False
             i = down[i]
-            went_down = True
 
         self._i = i
-        self._last_level = level
-        self._last_delta = delta
-        self._last_up = went_up
-        self._last_down = went_down
-        self._last_ops = ops
         return delta
 
     # -- convenience iteration -------------------------------------------
@@ -416,35 +328,33 @@ class GrayEngine:
 
 def generate(spec: MultisetSpec, limit: Optional[int] = None) -> list[tuple[int, ...]]:
     """Full adjacent sequence for a spec (optionally truncated to limit)."""
-    out: list[tuple[int, ...]] = []
-    for vec in GrayEngine(spec).iter_vectors():
-        out.append(vec)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return list(islice(GrayEngine(spec).iter_vectors(), limit))
 
 
-def run_instrumented(
-    spec: MultisetSpec,
-    max_steps: Optional[int] = None,
-    collect: bool = True,
-) -> tuple[list[tuple[int, ...]], int]:
-    """Run a spec and report (vectors, max per-advance op count).
+def counted_advance(eng: GrayEngine) -> tuple[Optional[TransitionDelta], int]:
+    """Call ``eng.advance()`` once; return its result and the bytecodes run.
 
-    ``max_steps`` bounds the number of advances for instances too large to
-    exhaust; ``collect=False`` drops the vectors (instrumentation only).
+    The count covers advance() and every Python function it calls (the
+    delta's constructor).  It comes from ``sys.settrace`` with per-opcode
+    events, which makes the step some twenty times slower, so this is for
+    tests and traces, not for timing.  A tracer installed before the
+    call is restored after it.
     """
-    eng = GrayEngine(spec)
-    vectors = [eng.current()] if collect else []
-    max_ops = 0
-    steps = 0
-    while max_steps is None or steps < max_steps:
+    opcodes = 0
+
+    def tracer(frame, event, arg):
+        nonlocal opcodes
+        if event == "call":
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            opcodes += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
         delta = eng.advance()
-        if delta is None:
-            break
-        steps += 1
-        if eng._last_ops > max_ops:
-            max_ops = eng._last_ops
-        if collect:
-            vectors.append(eng.current())
-    return vectors, max_ops
+    finally:
+        sys.settrace(previous)
+    return delta, opcodes

@@ -71,14 +71,14 @@ def apply_move(state: ContainerState, delta: TransitionDelta) -> tuple[int, int,
 
 
 def iter_with_container(
-    spec: MultisetSpec, debug: bool = False
+    spec: MultisetSpec,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Optional[TransitionDelta]]]:
     """Drive an engine and its container together.
 
     Yields (vector, container cells, delta) per object; the first object
     carries delta None.
     """
-    eng = GrayEngine(spec, debug=debug)
+    eng = GrayEngine(spec)
     state = init_container(spec, eng.current())
     yield eng.current(), state.cells(), None
     while True:

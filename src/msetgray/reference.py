@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import MultisetSpec, OracleLimitError, validate
+from .core import MultisetSpec, OracleLimitError, suffix_capacities, validate
 
 # Cap on product(m[i]+1) for the brute-force oracle.
 BRUTE_FORCE_LIMIT = 2_000_000
@@ -43,15 +43,6 @@ def brute_force(spec: MultisetSpec, limit: int = BRUTE_FORCE_LIMIT) -> list[Vect
     ]
 
 
-def _suffix_capacities(spec: MultisetSpec) -> list[int]:
-    """b[i] = m[i] + ... + m[n], 1-based, with sentinel b[n+1] = 0."""
-    n = spec.n
-    b = [0] * (n + 2)
-    for i in range(n, 0, -1):
-        b[i] = b[i + 1] + spec.m[i - 1]
-    return b
-
-
 def lex_generate(spec: MultisetSpec) -> list[Vector]:
     """All valid vectors in lexicographic order, by bounded recursion.
 
@@ -63,7 +54,7 @@ def lex_generate(spec: MultisetSpec) -> list[Vector]:
     validate(spec)
     n = spec.n
     m = (0,) + spec.m  # 1-based view
-    b = _suffix_capacities(spec)
+    b = suffix_capacities(spec)
     a = [0] * (n + 1)
     out: list[Vector] = []
 
@@ -92,7 +83,7 @@ def gray_generate_recursive(spec: MultisetSpec) -> list[Vector]:
     validate(spec)
     n = spec.n
     m = (0,) + spec.m
-    b = _suffix_capacities(spec)
+    b = suffix_capacities(spec)
     d = [1] * (n + 1)
     a = [0] * (n + 1)
     out: list[Vector] = []

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
 
-from .core import MultisetSpec, OracleLimitError, validate
+from .core import MultisetSpec, OracleLimitError, suffix_capacities, validate
 
 TREE_NODE_LIMIT = 1_000_000
 DOT_NODE_LIMIT = 50_000
@@ -66,9 +66,7 @@ def build_lexico_tree(
     validate(spec)
     n, k = spec.n, spec.k
     m = (0,) + spec.m
-    b = [0] * (n + 2)
-    for i in range(n, 0, -1):
-        b[i] = b[i + 1] + m[i]
+    b = suffix_capacities(spec)
 
     count = 0
 

@@ -22,7 +22,7 @@ from .core import (
     validate,
 )
 from .counting import count_dp, count_inclusion_exclusion
-from .engine import GrayEngine
+from .engine import EngineError, GrayEngine
 from .inplace import apply_move, init_container
 from .reference import brute_force, gray_generate_recursive, lex_generate
 from .treemodel import ParityMode, build_lexico_tree, leaf_sequence, twist
@@ -60,8 +60,13 @@ def _adjacent_everywhere(seq: list[tuple[int, ...]]) -> Optional[int]:
     return None
 
 
-def run_spec_checks(spec: MultisetSpec, debug_engine: bool = True) -> SpecReport:
-    """Run the full cross-oracle suite on one spec."""
+def run_spec_checks(spec: MultisetSpec) -> SpecReport:
+    """Run the full cross-oracle suite on one spec.
+
+    An engine fault is raised, not reported: EngineError from the engine
+    itself, or from the prefix-sum check below, which names the spec, the
+    step index, the level and both sums.
+    """
     validate(spec)
     report = SpecReport(spec=spec)
     add = report.checks.append
@@ -92,8 +97,10 @@ def run_spec_checks(spec: MultisetSpec, debug_engine: bool = True) -> SpecReport
         )
     )
 
-    # Engine run with a synchronized container sweep.
-    eng = GrayEngine(spec, debug=debug_engine)
+    # Engine run with a synchronized container sweep.  Before each step
+    # the engine's prefix sum at the level it evaluates must equal
+    # a[1] + ... + a[i-1] of the object it stands on.
+    eng = GrayEngine(spec)
     state = init_container(spec, eng.current())
     engine_seq = [eng.current()]
     deltas = 0
@@ -101,6 +108,14 @@ def run_spec_checks(spec: MultisetSpec, debug_engine: bool = True) -> SpecReport
     one_cell_ok = True
     container_detail = ""
     while True:
+        level = eng.i
+        if level:
+            kept, actual = eng.sum[level - 1], sum(engine_seq[-1][: level - 1])
+            if kept != actual:
+                raise EngineError(
+                    f"m={spec.m} k={spec.k} step {deltas}: level {level} keeps "
+                    f"sum[{level}]={kept}, but a[1]+...+a[{level - 1}]={actual}"
+                )
         before = state.cells()
         delta = eng.advance()
         if delta is None:

@@ -5,7 +5,8 @@ for m=(1,2,2,1,1), k=4, hand-checked against a by-hand enumeration.  The
 two adjacent-order goldens were produced by the corresponding generator
 and frozen only after passing the independent oracles (permutation of
 the brute-force set, pairwise adjacency, count agreement); they differ
-from each other at rows 13/14.
+from each other at rows 13/14.  OPCODE_CEILING freezes the per-step
+bytecode count that stands as the evidence of looplessness.
 """
 
 from msetgray import MultisetSpec
@@ -77,3 +78,10 @@ RECURSIVE_SEQUENCE = [
     (1, 0, 2, 0, 1),
     (1, 0, 1, 1, 1),
 ]
+
+# Most bytecodes one GrayEngine.advance() executes (counted_advance, the
+# delta's constructor included) over 10,000 steps from the start of
+# m=(3,)*n, k=3n//2, for n = 10, 100 and 1000: the maxima are 378, 366
+# and 364.  Bytecode differs between interpreter versions; this value is
+# frozen for CPython 3.11.
+OPCODE_CEILING = 378

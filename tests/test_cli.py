@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from msetgray import MultisetSpec, validate_vector
+from msetgray import EngineError, MultisetSpec, validate_vector
 from msetgray.cli import main
 
-from example_data import LEX_TABLE
+from example_data import LEX_TABLE, OPCODE_CEILING
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +179,32 @@ class TestVerify:
         assert set(first) == {"level", "inc", "dec", "up", "down", "ops"}
         assert first["up"] in (0, 1) and first["down"] in (0, 1)
 
+        # One record per delta; the first step of the worked example
+        # changes level 2 by +2 -5; each step goes either up or down.
+        code, out, _ = run_cli(
+            capsys, "verify", "--m", "1,2,2,1,1", "--k", "4", "--trace"
+        )
+        assert code == 0
+        records = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
+        assert len(records) == 17
+        assert (records[0]["level"], records[0]["inc"], records[0]["dec"]) == (2, 2, 5)
+        for record in records:
+            assert record["up"] != record["down"]
+            assert 0 < record["ops"] <= OPCODE_CEILING
+
+    def test_engine_fault_reported_not_raised(self, capsys, monkeypatch):
+        def failing(spec):
+            raise EngineError("arrived at an exhausted level: i=5")
+
+        monkeypatch.setattr("msetgray.cli.run_spec_checks", failing)
+        code, out, err = run_cli(capsys, "verify", "--m", "1,3,1,1,1,1", "--k", "4")
+        assert code == 1
+        assert err.splitlines() == [
+            "FAIL m=(1, 3, 1, 1, 1, 1) k=4",
+            "  check engine_runs: arrived at an exhausted level: i=5",
+        ]
+        assert "verified" not in out
+
 
 class TestTree:
     def test_twisted_dot(self, capsys):
@@ -213,6 +245,28 @@ class TestBench:
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 3  # header + two rows
+
+
+def test_closed_pipe_exits_quietly():
+    # `msetgray enumerate ... | head -1`: the reader leaves after the
+    # first line of a 616,227-object run.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "msetgray.cli", "enumerate",
+         "--uniform", "2", "--n", "14", "--k", "14"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert first == b"0 0 0 0 0 0 0 2 2 2 2 2 2 2\n"
+    assert err == b""
+    assert proc.returncode == 0
 
 
 def test_enumeration_deterministic(capsys):

@@ -1,25 +1,32 @@
+import itertools
 import random
+import sys
 
 import pytest
 
 from msetgray import (
+    EngineError,
     EngineExhausted,
     GrayEngine,
     MultisetSpec,
-    OP_COUNT_CEILING,
+    ParityMode,
     TransitionDelta,
     apply_delta,
     brute_force,
+    build_lexico_tree,
     count_dp,
+    counted_advance,
     first_combination,
     generate,
     gray_generate_recursive,
     is_adjacent,
+    leaf_sequence,
     lex_generate,
-    run_instrumented,
+    run_spec_checks,
+    twist,
 )
 
-from example_data import ENGINE_SEQUENCE, EXAMPLE_SPEC
+from example_data import ENGINE_SEQUENCE, EXAMPLE_SPEC, OPCODE_CEILING
 
 
 def random_spec(rng, max_n=6, max_m=4):
@@ -92,7 +99,7 @@ class TestAdvance:
         assert eng.current() == ENGINE_SEQUENCE[-1]
 
     def test_every_emission_sums_to_k(self):
-        eng = GrayEngine(EXAMPLE_SPEC, debug=True)
+        eng = GrayEngine(EXAMPLE_SPEC)
         for vec in eng.iter_vectors():
             assert sum(vec) == 4
 
@@ -122,13 +129,12 @@ class TestProperties:
             assert seq[0] == first_combination(spec)[0], spec
 
     def test_debug_prefix_sum_invariant(self):
-        # debug=True asserts sum[i] == a[1]+...+a[i-1] at every evaluation.
+        # run_spec_checks raises unless sum[i] == a[1]+...+a[i-1] before
+        # every step that evaluates level i.
         rng = random.Random(23)
         for _ in range(60):
             spec = random_spec(rng, max_n=5, max_m=3)
-            eng = GrayEngine(spec, debug=True)
-            while eng.advance() is not None:
-                pass
+            assert run_spec_checks(spec).passed, spec
 
     def test_fill_stops_in_last_box_family(self):
         # Instances with k < m[n] exercise the adjusted start level.
@@ -162,34 +168,82 @@ class TestProperties:
 
 class TestInstrumentation:
     def test_worked_example_run(self):
-        vectors, max_ops = run_instrumented(EXAMPLE_SPEC)
-        assert len(vectors) == 18
-        assert 0 < max_ops <= OP_COUNT_CEILING
+        eng = GrayEngine(EXAMPLE_SPEC)
+        vectors = [eng.current()]
+        while True:
+            delta, opcodes = counted_advance(eng)
+            assert 0 < opcodes <= OPCODE_CEILING
+            if delta is None:
+                break
+            vectors.append(eng.current())
+        assert vectors == ENGINE_SEQUENCE
 
     def test_single_object_run(self):
-        vectors, max_ops = run_instrumented(MultisetSpec(m=(2, 2), k=4))
-        assert vectors == [(2, 2)]
-        assert max_ops == 0
+        eng = GrayEngine(MultisetSpec(m=(2, 2), k=4))
+        delta, opcodes = counted_advance(eng)
+        assert delta is None
+        assert eng.current() == (2, 2)
+        assert 0 < opcodes <= OPCODE_CEILING
 
     def test_op_count_flat_across_sizes(self):
-        # The per-step ceiling must not grow with n.
-        maxima = []
+        # The per-step bytecode count must not grow with n.
+        maxima = {}
         for n in (8, 40, 160):
-            spec = MultisetSpec(m=(3,) * n, k=(3 * n) // 2)
-            _, max_ops = run_instrumented(spec, max_steps=8000, collect=False)
-            maxima.append(max_ops)
-        assert len(set(maxima)) == 1
-        assert maxima[0] <= OP_COUNT_CEILING
+            eng = GrayEngine(MultisetSpec(m=(3,) * n, k=(3 * n) // 2))
+            maxima[n] = max(counted_advance(eng)[1] for _ in range(2000))
+        assert max(maxima.values()) <= OPCODE_CEILING, maxima
 
-    def test_trace_fields(self):
+    def test_restores_previous_tracer(self):
+        calls = []
+
+        def outer(frame, event, arg):
+            calls.append(event)
+
         eng = GrayEngine(EXAMPLE_SPEC)
-        assert eng.last_trace is None
-        eng.advance()
-        trace = eng.last_trace
-        assert trace.level == 2
-        assert trace.delta == TransitionDelta(inc=2, dec=5)
-        assert trace.went_up != trace.went_down
-        assert trace.op_count <= OP_COUNT_CEILING
+        sys.settrace(outer)
+        try:
+            delta, _ = counted_advance(eng)
+            restored = sys.gettrace()
+        finally:
+            sys.settrace(None)
+        assert delta == TransitionDelta(inc=2, dec=5)
+        assert restored is outer
+
+
+# The m in {1,2,3}^n, n <= 6 specs on which the engine raises, with the
+# number of objects it emits first (ROADMAP item 1 repairs them).
+KNOWN_ENGINE_FAULTS = {
+    ((1, 3, 1, 1, 1, 1), 4): 27,
+    ((2, 3, 1, 1, 1, 1), 4): 27,
+    ((3, 2, 1, 1, 1, 1), 6): 28,
+    ((3, 3, 1, 1, 1, 1), 4): 27,
+    ((3, 3, 1, 1, 1, 1), 7): 28,
+}
+
+
+def test_exhaustive_small_family_matches_twisted_tree():
+    # Every m in {1,2,3}^n, n <= 6, and every k: 13,122 specs.
+    faults = {}
+    specs = 0
+    for n in range(1, 7):
+        for m in itertools.product((1, 2, 3), repeat=n):
+            for k in range(sum(m) + 1):
+                spec = MultisetSpec(m=m, k=k)
+                leaves = leaf_sequence(
+                    twist(build_lexico_tree(spec), ParityMode.SKIP_SINGLE_CHILD)
+                )
+                emitted = []
+                try:
+                    for vec in GrayEngine(spec).iter_vectors():
+                        emitted.append(vec)
+                except EngineError:
+                    faults[(m, k)] = len(emitted)
+                    assert emitted == leaves[: len(emitted)], spec
+                else:
+                    assert emitted == leaves, spec
+                specs += 1
+    assert specs == 13_122
+    assert faults == KNOWN_ENGINE_FAULTS
 
 
 def test_state_views_are_tuples():

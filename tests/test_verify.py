@@ -1,4 +1,6 @@
-from msetgray import MultisetSpec, run_spec_checks
+import pytest
+
+from msetgray import EngineError, GrayEngine, MultisetSpec, run_spec_checks
 from msetgray.verify import iter_random_specs, random_spec
 
 from example_data import EXAMPLE_SPEC
@@ -47,3 +49,19 @@ def test_random_batch_passes():
     for spec in iter_random_specs(40, max_n=5, max_m=3, seed=13):
         report = run_spec_checks(spec)
         assert report.passed, (spec, report.first_failure())
+
+
+def test_prefix_sum_check_raises_engine_error(monkeypatch):
+    # An engine whose kept prefix sum is off at its start level must be
+    # caught before the first step, by a check that survives python -O.
+    def corrupted(spec):
+        eng = GrayEngine(spec)
+        eng._sum[eng.i] += 1
+        return eng
+
+    monkeypatch.setattr("msetgray.verify.GrayEngine", corrupted)
+    with pytest.raises(EngineError) as info:
+        run_spec_checks(EXAMPLE_SPEC)
+    assert str(info.value) == (
+        "m=(1, 2, 2, 1, 1) k=4 step 0: level 2 keeps sum[2]=1, but a[1]+...+a[1]=0"
+    )
