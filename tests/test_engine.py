@@ -193,6 +193,19 @@ class TestInstrumentation:
             maxima[n] = max(counted_advance(eng)[1] for _ in range(2000))
         assert max(maxima.values()) <= OPCODE_CEILING, maxima
 
+    def test_trace_fields(self):
+        # The trace fields are derived outside the engine, as verify --trace
+        # does: level is i before the step, up means i fell below it.
+        eng = GrayEngine(EXAMPLE_SPEC)
+        level = eng.i
+        delta, opcodes = counted_advance(eng)
+        went_up = eng.i < level
+        went_down = not went_up
+        assert level == 2
+        assert delta == TransitionDelta(inc=2, dec=5)
+        assert went_up != went_down
+        assert 0 < opcodes <= OPCODE_CEILING
+
     def test_restores_previous_tracer(self):
         calls = []
 
