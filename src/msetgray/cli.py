@@ -21,7 +21,7 @@ from .core import (
     to_inplace,
     validate,
 )
-from .counting import count_dp, count_inclusion_exclusion
+from .counting import IE_SUBSET_LIMIT, count_dp, count_inclusion_exclusion
 from .engine import EngineError, GrayEngine, counted_advance
 from .inplace import apply_move, init_container
 from .reference import gray_generate_recursive, lex_generate
@@ -160,6 +160,14 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.method == "dp":
         print(count_dp(spec))
         return 0
+    if spec.n > IE_SUBSET_LIMIT:
+        print(
+            f"note: n={spec.n} > {IE_SUBSET_LIMIT}: inclusion-exclusion skipped, "
+            "counted by dp alone",
+            file=sys.stderr,
+        )
+        print(count_dp(spec))
+        return 0
     ie = count_inclusion_exclusion(spec)
     dp = count_dp(spec)
     if ie != dp:
@@ -200,6 +208,9 @@ def _print_trace(spec: MultisetSpec) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.random and args.trace:
+        print("error: --trace needs a single spec", file=sys.stderr)
+        return 2
     if args.random:
         specs = list(
             iter_random_specs(args.count, args.max_n, args.max_m, args.seed)
@@ -222,7 +233,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for key, value in report.info.items():
             info_totals[key] = info_totals.get(key, 0) + int(value)
 
-    if not args.random and args.trace:
+    if args.trace:
         _print_trace(specs[0])
 
     print(f"verified {len(specs)} spec(s): all mandatory checks passed")
@@ -248,8 +259,12 @@ def cmd_tree(args: argparse.Namespace) -> int:
 # -- bench ----------------------------------------------------------------
 
 
-def _bench_one(spec: MultisetSpec, max_steps: Optional[int]) -> tuple[int, float, float]:
+def _bench_one(
+    spec: MultisetSpec, max_steps: Optional[int]
+) -> tuple[float, int, float, float]:
+    t = time.perf_counter()
     eng = GrayEngine(spec)
+    init = time.perf_counter() - t
     objects = 1
     max_step = 0.0
     start = time.perf_counter()
@@ -263,7 +278,7 @@ def _bench_one(spec: MultisetSpec, max_steps: Optional[int]) -> tuple[int, float
         if t1 - t0 > max_step:
             max_step = t1 - t0
     elapsed = time.perf_counter() - start
-    return objects, max_step, elapsed
+    return init, objects, max_step, elapsed
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -278,11 +293,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
             k = args.k if args.k is not None else int(sum(m) * args.k_ratio)
             rows.append((MultisetSpec(m=m, k=k), f"n={n}"))
 
-    print(f"{'instance':>12} {'k':>8} {'objects':>10} {'obj/s':>12} {'max_step_us':>12}")
+    print(
+        f"{'instance':>12} {'k':>8} {'init_ms':>10} {'objects':>10} {'obj/s':>12} "
+        f"{'max_step_us':>12}"
+    )
     for spec, tag in rows:
-        objects, max_step, elapsed = _bench_one(spec, args.max_steps)
+        init, objects, max_step, elapsed = _bench_one(spec, args.max_steps)
         rate = objects / elapsed if elapsed > 0 else float("inf")
-        print(f"{tag:>12} {spec.k:>8} {objects:>10} {rate:>12.0f} {max_step * 1e6:>12.1f}")
+        print(
+            f"{tag:>12} {spec.k:>8} {init * 1e3:>10.3f} {objects:>10} {rate:>12.0f} "
+            f"{max_step * 1e6:>12.1f}"
+        )
     return 0
 
 
@@ -334,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tree.set_defaults(func=cmd_tree)
 
-    p_bench = sub.add_parser("bench", help="throughput and slowest single step")
+    p_bench = sub.add_parser(
+        "bench", help="construction time, throughput and slowest single step"
+    )
     _add_spec_args(p_bench)
     p_bench.add_argument("--n-list", default="10,100,1000")
     p_bench.add_argument("--uniform-m", type=int, default=3)

@@ -18,7 +18,10 @@ All types here are immutable values and safe to share between threads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, islice
+from operator import neg
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -61,16 +64,29 @@ class TransitionDelta(NamedTuple):
 def validate(spec: MultisetSpec) -> None:
     """Raise InvalidSpecError unless the instance is well formed.
 
-    Zero multiplicities are rejected rather than skipped; callers must
-    drop empty components before building a spec.
+    Every multiplicity and k must be an int (bool is refused, though it
+    is one).  Zero multiplicities are rejected rather than skipped;
+    callers must drop empty components before building a spec.  The
+    checks run over m in bulk, so they cost little even at large n.
     """
-    if spec.n < 1:
+    m, k = spec.m, spec.k
+    if not m:
         raise InvalidSpecError("need at least one component (n >= 1)")
-    for pos, mult in enumerate(spec.m, start=1):
-        if mult < 1:
-            raise InvalidSpecError(f"multiplicity m[{pos}] must be >= 1, got {mult}")
-    if not 0 <= spec.k <= spec.total:
-        raise InvalidSpecError(f"k={spec.k} out of range 0..{spec.total} for m={spec.m}")
+    types = {type(k), *map(type, m)}
+    if types != {int} and not all(map(_is_int_type, types)):
+        if not _is_int_type(type(k)):
+            raise InvalidSpecError(f"k must be an int, got {k!r}")
+        pos, mult = next((pos, x) for pos, x in enumerate(m, 1) if not _is_int_type(type(x)))
+        raise InvalidSpecError(f"multiplicity m[{pos}] must be an int, got {mult!r}")
+    if min(m) < 1:
+        pos, mult = next((pos, x) for pos, x in enumerate(m, 1) if x < 1)
+        raise InvalidSpecError(f"multiplicity m[{pos}] must be >= 1, got {mult}")
+    if not 0 <= k <= spec.total:
+        raise InvalidSpecError(f"k={k} out of range 0..{spec.total} for m={m}")
+
+
+def _is_int_type(t: type) -> bool:
+    return issubclass(t, int) and t is not bool
 
 
 def validate_vector(spec: MultisetSpec, a: Sequence[int]) -> None:
@@ -93,18 +109,24 @@ def first_combination(spec: MultisetSpec) -> tuple[tuple[int, ...], int]:
     i0 are explicitly zero.
     """
     validate(spec)
-    a = [0] * spec.n
-    rem = spec.k
-    i0 = 0
-    for idx in range(spec.n - 1, -1, -1):
-        if spec.m[idx] <= rem:
-            a[idx] = spec.m[idx]
-            rem -= spec.m[idx]
-        else:
-            a[idx] = rem
-            i0 = idx + 1
-            break
-    return tuple(a), i0
+    a, i0 = fill_from_right(spec, suffix_capacities(spec))
+    return tuple(islice(a, 1, None)), i0
+
+
+def fill_from_right(spec: MultisetSpec, b: list[int]) -> tuple[list[int], int]:
+    """The first combination as a 1-based list [0, a[1], ..., a[n]], and i0.
+
+    ``b`` is ``suffix_capacities(spec)``.  Levels i0+1..n are exactly the
+    ones whose suffix fits in k; b falls as i grows, so a bisection finds
+    i0 and slices fill the vector.  The spec must be valid.
+    """
+    n, k = spec.n, spec.k
+    # First level whose suffix capacity is at most k (n+1 if none is).
+    i0 = bisect_left(b, -k, 1, n + 1, key=neg) - 1
+    a = [0] * (n + 1)
+    a[i0 + 1 :] = spec.m[i0:]
+    a[i0] = k - b[i0 + 1]  # the remainder; a[0] = 0 when i0 = 0
+    return a, i0
 
 
 def suffix_capacities(spec: MultisetSpec) -> list[int]:
@@ -113,20 +135,23 @@ def suffix_capacities(spec: MultisetSpec) -> list[int]:
     A prefix holding s units leaves level i room for
     max(k - s - b[i+1], 0) .. min(m[i], k - s).
     """
-    b = [0] * (spec.n + 2)
-    for i in range(spec.n, 0, -1):
-        b[i] = b[i + 1] + spec.m[i - 1]
+    b = list(accumulate(reversed(spec.m), initial=0))  # b[n+1], b[n], ..., b[1]
+    b.append(0)
+    b.reverse()
     return b
 
 
 def last_combination(spec: MultisetSpec) -> tuple[int, ...]:
     """Lexicographically largest combination (boxes filled left to right)."""
     validate(spec)
+    m, k = spec.m, spec.k
+    prefix = list(accumulate(m))
+    # Boxes left of j fill to capacity; box j takes the rest.
+    j = bisect_left(prefix, k)
     a = [0] * spec.n
-    rem = spec.k
-    for idx in range(spec.n):
-        a[idx] = min(spec.m[idx], rem)
-        rem -= a[idx]
+    a[:j] = m[:j]
+    if j < spec.n:
+        a[j] = k - (prefix[j - 1] if j else 0)
     return tuple(a)
 
 

@@ -37,9 +37,10 @@ step bookkeeping then prepares solve/down for the opposite path, flips
 d[i], and the traversal either returns to up[i] or descends to down[i].
 Reaching level 0 terminates the run with the final object in ``a``.
 
-Instances whose object set is a single vector (k = 0, k = sum(m), and
-any fully forced chain) never enter the traversal; the engine reports
-the one object and finishes.
+Instances whose object set is a single vector (n == 1, k == 0 or
+k == sum(m); any other instance can move a unit between two positions)
+never enter the traversal; the engine reports the one object and
+finishes.
 
 Nothing in advance() watches the step.  :func:`counted_advance` counts
 the bytecodes one step executes from outside, through the interpreter's
@@ -53,14 +54,13 @@ in parallel freely.
 from __future__ import annotations
 
 import sys
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from typing import Iterator, Optional
 
 from .core import (
     MultisetSpec,
     TransitionDelta,
-    first_combination,
-    last_combination,
+    fill_from_right,
     suffix_capacities,
     validate,
 )
@@ -91,48 +91,52 @@ class GrayEngine:
         k = spec.k
         self._n = n
         self._k = k
-        self._m = [0] + list(spec.m)  # 1-based
+        m = [0, *spec.m]  # 1-based
 
-        a, i0 = first_combination(spec)
-        self._a = [0] + list(a)
-        self._b = suffix_capacities(spec)
+        # Every n-sized list is built by one bulk operation.
+        self._b = b = suffix_capacities(spec)
+        a, i0 = fill_from_right(spec, b)
+        self._a = a
         self._finished = False
-        self._up = list(range(n + 1))
-        self._up1 = list(range(n + 1))
-        self._solve = [n] * (n + 1)
-        self._mark = [False] * (n + 1)
+        self._up = up = list(range(n + 1))
+        self._up1 = up1 = up.copy()
+        self._solve = solve = [n] * (n + 1)
+        self._mark = mark = [False] * (n + 1)
 
-        if a == last_combination(spec):
+        if n == 1 or k == 0 or k == b[1]:
             # Single-object instance: nothing to traverse.
             self._i = 0
             self._start = 0
             self._d = [0] * (n + 1)
             self._sum = [0] * (n + 1)
             self._down = [0] * (n + 1)
-            return
+        else:
+            # The first change happens at the deepest level with a sibling
+            # choice.  That is the fill stop level i0, except when the fill
+            # stops in the last box (k < m[n]): level n is always forced, so
+            # the first free level is n-1.
+            start = i0 if i0 < n else n - 1
+            self._start = start
+            self._i = start
 
-        # The first change happens at the deepest level with a sibling
-        # choice.  That is the fill stop level i0, except when the fill
-        # stops in the last box (k < m[n]): level n is always forced, so
-        # the first free level is n-1.
-        start = i0 if i0 < n else n - 1
-        self._start = start
-        self._i = start
+            # d[0] stays 0: it is read through d[up[i]] when the return level
+            # is the root, where no direction bias must apply.
+            self._d = [0, *repeat(1, start), *repeat(-1, n - start)]
 
-        # d[0] stays 0: it is read through d[up[i]] when the return level
-        # is the root, where no direction bias must apply.
-        self._d = [0] + [1] * start + [-1] * (n - start)
+            # sum[i] = a[1] + ... + a[i-1], except that levels right of the
+            # start already sit on their way back: their next evaluation
+            # happens after the start level gains one unit, so their sums
+            # count that unit.
+            a[start] += 1
+            self._sum = list(accumulate(islice(a, n), initial=0))
+            a[start] -= 1
 
-        sums = [0] * (n + 1)
-        for i in range(2, n + 1):
-            sums[i] = sums[i - 1] + self._a[i - 1]
-        # Levels right of the start already sit on their way back; their
-        # next evaluation happens after the start level gains one unit.
-        for i in range(start + 1, n + 1):
-            sums[i] += 1
-        self._sum = sums
+            self._down = [0, *repeat(n - 1, n - 1), 0]
 
-        self._down = [0] + [n - 1] * (n - 1) + [0]
+        # What advance() reads on every step, fetched with one attribute load.
+        self._step_state = (
+            a, b, self._d, self._sum, up, up1, self._down, solve, mark, m, k, n - 1
+        )
 
     # -- read-only views ------------------------------------------------
 
@@ -213,24 +217,15 @@ class GrayEngine:
             self._finished = True
             return None
 
-        a = self._a
-        b = self._b
-        d = self._d
-        sums = self._sum
-        up = self._up
-        up1 = self._up1
-        down = self._down
-        solve = self._solve
-        mark = self._mark
-        k = self._k
+        a, b, d, sums, up, up1, down, solve, mark, m, k, last = self._step_state
 
         s = sums[i]
         lower = k - b[i + 1] - s
         if lower < 0:
             lower = 0
         upper = k - s
-        if self._m[i] < upper:
-            upper = self._m[i]
+        if m[i] < upper:
+            upper = m[i]
 
         di = d[i]
         if (di > 0 and a[i] == upper) or (di < 0 and a[i] == lower):
@@ -242,74 +237,81 @@ class GrayEngine:
             )
 
         j = solve[i]
-        a[i] += di
         a[j] -= di
+        ai = a[i] + di
+        a[i] = ai
+        # tuple.__new__ skips the Python-level __new__ of the named tuple.
         if di > 0:
-            delta = TransitionDelta(inc=i, dec=j)
+            delta = tuple.__new__(TransitionDelta, (i, j))
         else:
-            delta = TransitionDelta(inc=j, dec=i)
+            delta = tuple.__new__(TransitionDelta, (j, i))
 
         up[i] = i
 
-        if (di > 0 and a[i] == upper) or (di < 0 and a[i] == lower):
+        if (di > 0 and ai == upper) or (di < 0 and ai == lower):
             # Landed on the last child: prepare the opposite path.
-            up[i] = up[i - 1]
-            up[i - 1] = i - 1
-            dup = d[up[i]]
-            lower1 = k - b[i + 1] - s - dup
+            p = i - 1
+            ret = up[p]
+            up[i] = ret
+            up[p] = p
+            dup = d[ret]
+            bn = b[i + 1]
+            lower1 = k - bn - s - dup
             if lower1 < 0:
                 lower1 = 0
             upper1 = k - s - dup
-            if self._m[i] < upper1:
-                upper1 = self._m[i]
+            if m[i] < upper1:
+                upper1 = m[i]
             nxt = upper1 if di > 0 else lower1
-            if nxt != a[i]:
-                solve[up[i]] = i
+            if nxt != ai:
+                solve[ret] = i
             else:
-                solve[up[i]] = solve[i]
-            mark[up[i]] = True
+                solve[ret] = solve[i]
+            mark[ret] = True
             mark[i] = True
-            up_point = (s + a[i] == k) or (s + a[i] + b[i + 1] == k) or (i == self._n - 1)
+            up_point = (s + ai == k) or (s + ai + bn == k) or (i == last)
             if lower1 != upper1:
                 # Prepare sum[i] for the opposite path: the pending change
                 # at the return level will have shifted the prefix by d.
                 sums[i] = s + dup
             next_landing = (
                 (sums[i] + nxt == k)
-                or (sums[i] + nxt + b[i + 1] == k)
-                or (i == self._n - 1)
+                or (sums[i] + nxt + bn == k)
+                or (i == last)
             )
-            up1[i] = up1[i - 1]
-            up1[i - 1] = i - 1
+            ret1 = up1[p]
+            up1[i] = ret1
+            up1[p] = p
             if lower1 == upper1:
                 # Forced next node: route the landing link through up1 so
                 # deeper levels can keep patching it.
-                down[up1[i]] = i
+                down[ret1] = i
             elif next_landing:
-                down[up[i]] = i
+                down[ret] = i
             else:
-                down[up[i]] = down[i]
+                down[ret] = down[i]
             if next_landing:
                 up1[i] = i
             d[i] = -di
 
             if up_point:
                 # Straight line below: jump back to the return level.
-                ii = i
-                i = up[i]
-                up[ii] = ii
+                up[i] = i
+                i = ret
             else:
-                if not mark[down[i]]:
-                    solve[down[i]] = solve[i]
+                nd = down[i]
+                if not mark[nd]:
+                    solve[nd] = solve[i]
                 mark[i] = False
-                i = down[i]
+                i = nd
         else:
             # Not a last child: the next change is deeper on the path
             # just entered.
-            if not mark[down[i]]:
-                solve[down[i]] = solve[i]
+            nd = down[i]
+            if not mark[nd]:
+                solve[nd] = solve[i]
             mark[i] = False
-            i = down[i]
+            i = nd
 
         self._i = i
         return delta
@@ -334,11 +336,11 @@ def generate(spec: MultisetSpec, limit: Optional[int] = None) -> list[tuple[int,
 def counted_advance(eng: GrayEngine) -> tuple[Optional[TransitionDelta], int]:
     """Call ``eng.advance()`` once; return its result and the bytecodes run.
 
-    The count covers advance() and every Python function it calls (the
-    delta's constructor).  It comes from ``sys.settrace`` with per-opcode
-    events, which makes the step some twenty times slower, so this is for
-    tests and traces, not for timing.  A tracer installed before the
-    call is restored after it.
+    The count covers advance() and every Python function it calls (none:
+    the delta is built by ``tuple.__new__``, which runs no bytecode).  It
+    comes from ``sys.settrace`` with per-opcode events, which makes the
+    step some twenty times slower, so this is for tests and traces, not
+    for timing.  A tracer installed before the call is restored after it.
     """
     opcodes = 0
 

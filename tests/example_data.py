@@ -79,9 +79,9 @@ RECURSIVE_SEQUENCE = [
     (1, 0, 1, 1, 1),
 ]
 
-# Most bytecodes one GrayEngine.advance() executes (counted_advance, the
-# delta's constructor included) over 10,000 steps from the start of
-# m=(3,)*n, k=3n//2, for n = 10, 100 and 1000: the maxima are 378, 366
-# and 364.  Bytecode differs between interpreter versions; this value is
+# Most bytecodes one GrayEngine.advance() executes (counted_advance;
+# the delta's constructor runs none) over 10,000 steps from the start of
+# m=(3,)*n, k=3n//2, for n = 10, 100 and 1000: the maxima are 319, 309
+# and 307.  Bytecode differs between interpreter versions; this value is
 # frozen for CPython 3.11.
-OPCODE_CEILING = 378
+OPCODE_CEILING = 319

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from msetgray import EngineError, MultisetSpec, validate_vector
+from msetgray import EngineError, MultisetSpec, count_dp, validate_vector
 from msetgray.cli import main
 
 from example_data import LEX_TABLE, OPCODE_CEILING
@@ -115,6 +115,19 @@ class TestEnumerate:
         assert code == 2
         assert "out of range" in err
 
+    @pytest.mark.parametrize("m", ["1.5,2", "True,2", "2,x"])
+    def test_non_integer_m_exits_2(self, capsys, m):
+        code, out, err = run_cli(capsys, "enumerate", "--m", m, "--k", "1")
+        assert code == 2
+        assert out == ""
+        assert "bad --m value" in err
+
+    def test_non_integer_k_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--m", "1,2", "--k", "1.0"])
+        assert exc.value.code == 2
+        assert "invalid int value: '1.0'" in capsys.readouterr().err
+
     def test_missing_spec_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--k", "2")
         assert code == 2
@@ -146,6 +159,23 @@ class TestCount:
             )
             assert code == 0
             assert out.strip() == "3"
+
+    def test_large_n_falls_back_to_dp(self, capsys):
+        # Inclusion-exclusion stops at n = 24; the default `both` then
+        # counts by dp alone instead of failing.
+        code, out, err = run_cli(capsys, "count", "--uniform", "2", "--n", "30", "--k", "10")
+        assert code == 0
+        assert out.strip() == str(count_dp(MultisetSpec(m=(2,) * 30, k=10)))
+        assert err.splitlines() == [
+            "note: n=30 > 24: inclusion-exclusion skipped, counted by dp alone"
+        ]
+
+    def test_large_n_ie_alone_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "count", "--uniform", "2", "--n", "30", "--k", "10", "--method", "ie"
+        )
+        assert code == 2
+        assert "exceeds limit" in err
 
 
 class TestVerify:
@@ -192,6 +222,12 @@ class TestVerify:
             assert record["up"] != record["down"]
             assert 0 < record["ops"] <= OPCODE_CEILING
 
+    def test_random_trace_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--random", "--count", "3", "--trace")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: --trace needs a single spec"]
+
     def test_engine_fault_reported_not_raised(self, capsys, monkeypatch):
         def failing(spec):
             raise EngineError("arrived at an exhausted level: i=5")
@@ -235,7 +271,11 @@ class TestBench:
     def test_single_instance(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--m", "1,2,2,1,1", "--k", "4")
         assert code == 0
-        assert "18" in out
+        header, row = out.splitlines()
+        assert header.split() == ["instance", "k", "init_ms", "objects", "obj/s", "max_step_us"]
+        tag, k, init_ms, objects = row.split()[:4]
+        assert (tag, k, objects) == ("n=5", "4", "18")
+        assert float(init_ms) > 0
 
     def test_grid_rows(self, capsys):
         code, out, _ = run_cli(

@@ -37,6 +37,21 @@ class TestValidate:
         with pytest.raises(InvalidSpecError, match="at least one"):
             validate(MultisetSpec(m=(), k=0))
 
+    @pytest.mark.parametrize(
+        "m, k, where",
+        [
+            ((1.5, 2), 1, r"m\[1\] must be an int, got 1.5"),
+            ((True, 2), 1, r"m\[1\] must be an int, got True"),
+            (("2", 2), 1, r"m\[1\] must be an int, got '2'"),
+            ((2, 2.0), 1, r"m\[2\] must be an int, got 2.0"),
+            ((1, 2), 1.0, r"k must be an int, got 1.0"),
+            ((1, 2), True, r"k must be an int, got True"),
+        ],
+    )
+    def test_non_integer_rejected(self, m, k, where):
+        with pytest.raises(InvalidSpecError, match=where):
+            validate(MultisetSpec(m=m, k=k))
+
     def test_spec_coerces_to_tuple(self):
         spec = MultisetSpec(m=[1, 2], k=1)
         assert spec.m == (1, 2)

@@ -20,11 +20,14 @@ from msetgray import (
     generate,
     gray_generate_recursive,
     is_adjacent,
+    last_combination,
     leaf_sequence,
     lex_generate,
     run_spec_checks,
     twist,
 )
+
+from msetgray.core import suffix_capacities
 
 from example_data import ENGINE_SEQUENCE, EXAMPLE_SPEC, OPCODE_CEILING
 
@@ -66,6 +69,97 @@ class TestInit:
         eng = GrayEngine(MultisetSpec(m=(2, 2), k=1))
         assert eng.i0 == 1
         assert eng.current() == (0, 1)
+
+
+def loop_suffix_capacities(m):
+    b = [0] * (len(m) + 2)
+    for i in range(len(m), 0, -1):
+        b[i] = b[i + 1] + m[i - 1]
+    return b
+
+
+def loop_first_combination(m, k):
+    a, rem, i0 = [0] * len(m), k, 0
+    for idx in range(len(m) - 1, -1, -1):
+        a[idx] = min(m[idx], rem)
+        rem -= a[idx]
+        if a[idx] < m[idx]:
+            i0 = idx + 1
+            break
+    return tuple(a), i0
+
+
+def loop_last_combination(m, k):
+    a, rem = [], k
+    for mult in m:
+        a.append(min(mult, rem))
+        rem -= a[-1]
+    return tuple(a)
+
+
+def expected_initial_state(spec):
+    """The engine's state right after construction, built element by
+    element from core.first_combination and the loop suffix capacities."""
+    n, k = spec.n, spec.k
+    a, i0 = first_combination(spec)
+    b = tuple(loop_suffix_capacities(spec.m)[1:])
+    if a == last_combination(spec):
+        zeros = (0,) * n
+        return dict(current=a, i0=0, b=b, d=zeros, sum=zeros, down=zeros, solve=(n,) * n)
+    start = i0 if i0 < n else n - 1
+    sums, prefix = [], 0
+    for i in range(1, n + 1):
+        sums.append(prefix + (1 if i > start else 0))
+        prefix += a[i - 1]
+    return dict(
+        current=a,
+        i0=start,
+        b=b,
+        d=tuple(1 if i <= start else -1 for i in range(1, n + 1)),
+        sum=tuple(sums),
+        down=(n - 1,) * (n - 1) + (0,),
+        solve=(n,) * n,
+    )
+
+
+def initial_state(eng):
+    return dict(
+        current=eng.current(), i0=eng.i0, b=eng.b, d=eng.d, sum=eng.sum,
+        down=eng.down, solve=eng.solve,
+    )
+
+
+class TestConstruction:
+    """The bulk construction against element-by-element references."""
+
+    def test_small_family(self):
+        # Every m in {1,2,3}^n, n <= 6, and every k.
+        for n in range(1, 7):
+            for m in itertools.product((1, 2, 3), repeat=n):
+                assert suffix_capacities(MultisetSpec(m=m, k=0)) == loop_suffix_capacities(m)
+                for k in range(sum(m) + 1):
+                    spec = MultisetSpec(m=m, k=k)
+                    first = first_combination(spec)
+                    last = last_combination(spec)
+                    assert first == loop_first_combination(m, k), spec
+                    assert last == loop_last_combination(m, k), spec
+                    single = n == 1 or k == 0 or k == sum(m)
+                    assert single == (first[0] == last), spec
+                    eng = GrayEngine(spec)
+                    assert initial_state(eng) == expected_initial_state(spec), spec
+                    assert (eng.i0 == 0) == single, spec
+                    assert eng.up == eng.up1 == tuple(range(n + 1)), spec
+                    assert eng.mark == (False,) * n, spec
+
+    def test_large_instance(self):
+        rng = random.Random(5)
+        m = tuple(rng.randint(1, 3) for _ in range(100_000))
+        spec = MultisetSpec(m=m, k=sum(m) // 2)
+        first = first_combination(spec)
+        assert first == loop_first_combination(m, spec.k)
+        assert last_combination(spec) == loop_last_combination(m, spec.k)
+        assert suffix_capacities(spec) == loop_suffix_capacities(m)
+        assert initial_state(GrayEngine(spec)) == expected_initial_state(spec)
 
 
 class TestAdvance:
