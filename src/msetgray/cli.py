@@ -11,7 +11,8 @@ import json
 import os
 import sys
 import time
-from typing import Iterator, Optional, Sequence
+from itertools import count, islice, pairwise, repeat, starmap
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .core import (
     InvalidSpecError,
@@ -23,7 +24,7 @@ from .core import (
 )
 from .counting import IE_SUBSET_LIMIT, count_dp, count_inclusion_exclusion
 from .engine import EngineError, GrayEngine, counted_advance
-from .inplace import apply_move, init_container
+from .inplace import iter_with_container
 from .reference import gray_generate_recursive, lex_generate
 from .treemodel import ParityMode, build_lexico_tree, export_dot, twist
 from .verify import CheckResult, iter_random_specs, run_spec_checks
@@ -56,73 +57,42 @@ def _spec_from_args(args: argparse.Namespace) -> MultisetSpec:
 
 
 def _delta_between(x: Sequence[int], y: Sequence[int]) -> TransitionDelta:
-    inc = dec = 0
-    for pos, (a, b) in enumerate(zip(x, y), start=1):
-        if b == a + 1:
-            inc = pos
-        elif b == a - 1:
-            dec = pos
-    return TransitionDelta(inc=inc, dec=dec)
+    """The step between two adjacent vectors (1-based positions)."""
+    diff = [b - a for a, b in zip(x, y)]
+    return TransitionDelta(inc=diff.index(1) + 1, dec=diff.index(-1) + 1)
 
 
 # -- enumerate ------------------------------------------------------------
 
 
-def _iter_objects(
-    spec: MultisetSpec, order: str, form: str
-) -> Iterator[tuple[int, object]]:
-    """Yield (1-based index, payload) in the requested order and form."""
+def _objects(spec: MultisetSpec, order: str, form: str) -> Iterator:
+    """The objects of ``spec`` in ``order``, each in ``form``."""
     if order == "gray-loopless":
+        if form == "inplace":
+            return (cells for _, cells, _ in iter_with_container(spec))
         eng = GrayEngine(spec)
-        if form == "vector":
-            for idx, vec in enumerate(eng.iter_vectors(), start=1):
-                yield idx, vec
-        elif form == "inplace":
-            state = init_container(spec, eng.current())
-            yield 1, state.cells()
-            idx = 1
-            while True:
-                delta = eng.advance()
-                if delta is None:
-                    return
-                apply_move(state, delta)
-                idx += 1
-                yield idx, state.cells()
-        else:  # delta
-            idx = 0
-            while True:
-                delta = eng.advance()
-                if delta is None:
-                    return
-                idx += 1
-                yield idx, delta
-        return
-
+        return eng.iter_vectors() if form == "vector" else iter(eng.advance, None)
     vectors = lex_generate(spec) if order == "lex" else gray_generate_recursive(spec)
     if form == "vector":
-        for idx, vec in enumerate(vectors, start=1):
-            yield idx, vec
-    elif form == "inplace":
-        for idx, vec in enumerate(vectors, start=1):
-            yield idx, to_inplace(spec, vec)
-    else:  # delta (adjacent orders only)
-        for idx, (x, y) in enumerate(zip(vectors, vectors[1:]), start=1):
-            yield idx, _delta_between(x, y)
-
-
-def _format_text(form: str, payload: object) -> str:
-    if form == "delta":
-        delta = payload
-        return f"+{delta.inc} -{delta.dec}"
-    return " ".join(str(v) for v in payload)
-
-
-def _format_json(form: str, idx: int, payload: object) -> str:
-    if form == "vector":
-        return json.dumps({"i": idx, "a": list(payload)})
+        return iter(vectors)
     if form == "inplace":
-        return json.dumps({"i": idx, "elems": list(payload)})
-    return json.dumps({"inc": payload.inc, "dec": payload.dec})
+        return map(to_inplace, repeat(spec), vectors)
+    return starmap(_delta_between, pairwise(vectors))  # adjacent orders only
+
+
+def _text_row(cells: Sequence[int], i: int) -> str:
+    return " ".join(map(str, cells)) + "\n"
+
+
+# One row formatter per (form, output): row(object, 1-based index) -> line.
+_ROWS: dict[tuple[str, str], Callable[[Any, int], str]] = {
+    ("vector", "text"): _text_row,
+    ("inplace", "text"): _text_row,
+    ("delta", "text"): lambda d, i: f"+{d.inc} -{d.dec}\n",
+    ("vector", "json-lines"): lambda a, i: json.dumps({"i": i, "a": a}) + "\n",
+    ("inplace", "json-lines"): lambda c, i: json.dumps({"i": i, "elems": c}) + "\n",
+    ("delta", "json-lines"): lambda d, i: json.dumps({"inc": d.inc, "dec": d.dec}) + "\n",
+}
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -133,17 +103,23 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 1:
         print("error: --limit must be >= 1", file=sys.stderr)
         return 2
-    emitted = 0
-    truncated = False
-    for idx, payload in _iter_objects(spec, args.order, args.form):
-        if args.limit is not None and emitted >= args.limit:
-            truncated = True
-            break
-        if args.output == "json-lines":
-            print(_format_json(args.form, idx, payload))
-        else:
-            print(_format_text(args.form, payload))
-        emitted += 1
+    index = count(1)
+    try:
+        objects = _objects(spec, args.order, args.form)
+        row = _ROWS[args.form, args.output]
+        sys.stdout.writelines(map(row, islice(objects, args.limit), index))
+        truncated = next(objects, None) is not None
+    except (EngineError, RecursionError) as exc:
+        # Rows go out before the record.  map() draws an index only once it
+        # holds an object, so the next index is one past the rows written.
+        sys.stdout.flush()
+        record = {
+            "error": type(exc).__name__, "m": list(spec.m), "k": spec.k,
+            "order": args.order, "form": args.form, "rows": next(index) - 1,
+            "message": str(exc),
+        }
+        print(json.dumps(record), file=sys.stderr)
+        return 1
     if truncated:
         print(f"output truncated at --limit {args.limit}", file=sys.stderr)
     return 0

@@ -41,7 +41,11 @@ class MultisetSpec:
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", tuple(self.m))
+        try:
+            m = tuple(self.m)
+        except TypeError:
+            raise InvalidSpecError(f"m must be a sequence of ints, got {self.m!r}") from None
+        object.__setattr__(self, "m", m)
 
     @property
     def n(self) -> int:

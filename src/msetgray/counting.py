@@ -9,6 +9,7 @@ generators.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 
 from .core import MultisetSpec, OracleLimitError, validate
@@ -79,11 +80,13 @@ def count_dp(spec: MultisetSpec) -> int:
     """Count combinations by a table over positions and partial sums.
 
     ways[s] after processing i components is the number of bounded vectors
-    of length i summing to s; each step sums a window of width m[i]+1.
+    of length i summing to s; each step sums a window of width m[i]+1,
+    read off prefix sums, so the table costs O(n*k) whatever m is.
     """
     validate(spec)
     k = spec.k
     ways = [1] + [0] * k
     for mult in spec.m:
-        ways = [sum(ways[s - t] for t in range(min(mult, s) + 1)) for s in range(k + 1)]
+        prefix = list(accumulate(ways, initial=0))
+        ways = [prefix[s + 1] - prefix[max(s - mult, 0)] for s in range(k + 1)]
     return ways[k]

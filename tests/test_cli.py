@@ -6,10 +6,26 @@ from pathlib import Path
 
 import pytest
 
-from msetgray import EngineError, MultisetSpec, count_dp, validate_vector
+from msetgray import (
+    EngineError,
+    GrayEngine,
+    MultisetSpec,
+    TransitionDelta,
+    apply_move,
+    count_dp,
+    init_container,
+    to_inplace,
+    validate_vector,
+)
 from msetgray.cli import main
 
-from example_data import LEX_TABLE, OPCODE_CEILING
+from example_data import (
+    ENGINE_SEQUENCE,
+    EXAMPLE_SPEC,
+    LEX_TABLE,
+    OPCODE_CEILING,
+    RECURSIVE_SEQUENCE,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -132,6 +148,137 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--k", "2")
         assert code == 2
         assert "spec required" in err
+
+
+def _steps(vectors):
+    """The (inc, dec) delta between each pair of consecutive vectors."""
+    steps = []
+    for x, y in zip(vectors, vectors[1:]):
+        diff = [b - a for a, b in zip(x, y)]
+        steps.append(TransitionDelta(inc=diff.index(1) + 1, dec=diff.index(-1) + 1))
+    return steps
+
+
+def _expected_objects(order, form):
+    """EXAMPLE_SPEC's objects in an order and form, from the goldens."""
+    vectors = {
+        "lex": [vec for vec, _ in LEX_TABLE],
+        "gray-recursive": RECURSIVE_SEQUENCE,
+        "gray-loopless": ENGINE_SEQUENCE,
+    }[order]
+    if form == "vector":
+        return vectors
+    if form == "delta":
+        return _steps(vectors)
+    if order == "lex":
+        return [cells for _, cells in LEX_TABLE]
+    if order == "gray-recursive":
+        return [to_inplace(EXAMPLE_SPEC, vec) for vec in vectors]
+    # The live container: one cell rewritten per step, not kept sorted.
+    state = init_container(EXAMPLE_SPEC, vectors[0])
+    rows = [state.cells()]
+    for step in _steps(vectors):
+        apply_move(state, step)
+        rows.append(state.cells())
+    return rows
+
+
+def _expected_line(form, output, obj, i):
+    if form == "delta":
+        if output == "text":
+            return f"+{obj.inc} -{obj.dec}"
+        return f'{{"inc": {obj.inc}, "dec": {obj.dec}}}'
+    cells = " ".join(map(str, obj))
+    if output == "text":
+        return cells
+    key = "a" if form == "vector" else "elems"
+    return f'{{"i": {i}, "{key}": [{cells.replace(" ", ", ")}]}}'
+
+
+ENUMERATE_MATRIX = [
+    (order, form, output)
+    for order in ("lex", "gray-recursive", "gray-loopless")
+    for form in ("vector", "inplace", "delta")
+    for output in ("text", "json-lines")
+    if not (order == "lex" and form == "delta")
+]
+
+
+@pytest.mark.parametrize("limit", [None, 3])
+@pytest.mark.parametrize("order, form, output", ENUMERATE_MATRIX)
+def test_enumerate_bytes(capsys, order, form, output, limit):
+    argv = [
+        "enumerate", "--m", "1,2,2,1,1", "--k", "4",
+        "--order", order, "--form", form, "--output", output,
+    ]
+    objects = _expected_objects(order, form)
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+        objects = objects[:limit]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "".join(
+        _expected_line(form, output, obj, i) + "\n" for i, obj in enumerate(objects, 1)
+    )
+    assert err == ("" if limit is None else "output truncated at --limit 3\n")
+
+
+class TestEnumerateFailure:
+    """A fault mid-stream keeps the rows written and ends in one JSON record."""
+
+    def fail_after(self, monkeypatch, steps):
+        real = GrayEngine.advance
+        calls = iter(range(steps))
+
+        def advance(self):
+            if next(calls, None) is None:
+                raise EngineError("arrived at an exhausted level: i=5, a[i]=1")
+            return real(self)
+
+        monkeypatch.setattr(GrayEngine, "advance", advance)
+
+    @pytest.mark.parametrize("form, rows", [("vector", 5), ("inplace", 5), ("delta", 4)])
+    def test_engine_fault_record(self, capsys, monkeypatch, form, rows):
+        self.fail_after(monkeypatch, 4)
+        code, out, err = run_cli(
+            capsys, "enumerate", "--m", "1,2,2,1,1", "--k", "4", "--form", form
+        )
+        assert code == 1
+        expected = _expected_objects("gray-loopless", form)[:rows]
+        assert out.splitlines() == [_expected_line(form, "text", obj, 0) for obj in expected]
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "EngineError",
+            "m": [1, 2, 2, 1, 1],
+            "k": 4,
+            "order": "gray-loopless",
+            "form": form,
+            "rows": rows,
+            "message": "arrived at an exhausted level: i=5, a[i]=1",
+        }
+
+    def test_recursion_error_record(self, capsys, monkeypatch):
+        def deep(spec):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("msetgray.cli.lex_generate", deep)
+        code, out, err = run_cli(
+            capsys,
+            "enumerate", "--m", "2,2", "--k", "2",
+            "--order", "lex", "--output", "json-lines",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "RecursionError",
+            "m": [2, 2],
+            "k": 2,
+            "order": "lex",
+            "form": "vector",
+            "rows": 0,
+            "message": "maximum recursion depth exceeded",
+        }
 
 
 class TestCount:

@@ -46,6 +46,8 @@ class TestValidate:
             ((2, 2.0), 1, r"m\[2\] must be an int, got 2.0"),
             ((1, 2), 1.0, r"k must be an int, got 1.0"),
             ((1, 2), True, r"k must be an int, got True"),
+            (5, 1, r"m must be a sequence of ints, got 5"),
+            (None, 1, r"m must be a sequence of ints, got None"),
         ],
     )
     def test_non_integer_rejected(self, m, k, where):

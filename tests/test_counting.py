@@ -107,6 +107,18 @@ def test_all_multiplicities_k_gives_closure():
             assert count_dp(spec) == count_closure(n, k)
 
 
+def test_dp_large_instances_match_closed_forms():
+    # Large n and k, with windows up to k wide: plain subsets give C(n, k),
+    # boxes as deep as k the closure count, and boxes one short of k lose
+    # the n vectors that put all k units in a single box.
+    from math import comb
+
+    for k in (0, 1, 137, 200, 399, 400):
+        assert count_dp(MultisetSpec(m=(1,) * 400, k=k)) == comb(400, k)
+    assert count_dp(MultisetSpec(m=(300,) * 200, k=300)) == count_closure(200, 300)
+    assert count_dp(MultisetSpec(m=(299,) * 200, k=300)) == count_closure(200, 300) - 200
+
+
 def test_exact_arithmetic_beyond_word_size():
     big = MultisetSpec(m=(3,) * 60, k=90)
     assert count_dp(big) > 2**64
