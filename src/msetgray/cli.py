@@ -12,7 +12,7 @@ import os
 import sys
 import time
 from itertools import count, islice, pairwise, repeat, starmap
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     InvalidSpecError,
@@ -80,19 +80,16 @@ def _objects(spec: MultisetSpec, order: str, form: str) -> Iterator:
     return starmap(_delta_between, pairwise(vectors))  # adjacent orders only
 
 
-def _text_row(cells: Sequence[int], i: int) -> str:
-    return " ".join(map(str, cells)) + "\n"
-
-
-# One row formatter per (form, output): row(object, 1-based index) -> line.
-_ROWS: dict[tuple[str, str], Callable[[Any, int], str]] = {
-    ("vector", "text"): _text_row,
-    ("inplace", "text"): _text_row,
-    ("delta", "text"): lambda d, i: f"+{d.inc} -{d.dec}\n",
-    ("vector", "json-lines"): lambda a, i: json.dumps({"i": i, "a": a}) + "\n",
-    ("inplace", "json-lines"): lambda c, i: json.dumps({"i": i, "elems": c}) + "\n",
-    ("delta", "json-lines"): lambda d, i: json.dumps({"inc": d.inc, "dec": d.dec}) + "\n",
-}
+def _row_format(form: str, output: str, width: int) -> str:
+    """The %-format of one row: a delta's two positions, or ``width`` cells
+    (n for a vector, k for a container), after the row index in JSON.
+    ``%d`` prints an int exactly as ``str`` and ``json.dumps`` do."""
+    if form == "delta":
+        return "+%d -%d\n" if output == "text" else '{"inc": %d, "dec": %d}\n'
+    if output == "text":
+        return " ".join(["%d"] * width) + "\n"
+    key = "a" if form == "vector" else "elems"
+    return '{"i": %d, "' + key + '": [' + ", ".join(["%d"] * width) + "]}\n"
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -103,10 +100,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 1:
         print("error: --limit must be >= 1", file=sys.stderr)
         return 2
+    fmt = _row_format(args.form, args.output, spec.k if args.form == "inplace" else spec.n)
+    if args.output == "text" or args.form == "delta":
+        row = lambda obj, i: fmt % obj
+    else:
+        row = lambda cells, i: fmt % (i, *cells)
     index = count(1)
     try:
         objects = _objects(spec, args.order, args.form)
-        row = _ROWS[args.form, args.output]
         sys.stdout.writelines(map(row, islice(objects, args.limit), index))
         truncated = next(objects, None) is not None
     except (EngineError, RecursionError) as exc:
@@ -169,18 +170,8 @@ def _print_trace(spec: MultisetSpec) -> None:
         if delta is None:
             return
         up = eng.i < level
-        print(
-            json.dumps(
-                {
-                    "level": level,
-                    "inc": delta.inc,
-                    "dec": delta.dec,
-                    "up": int(up),
-                    "down": int(not up),
-                    "ops": opcodes,
-                }
-            )
-        )
+        print(json.dumps({"level": level, "inc": delta.inc, "dec": delta.dec,
+                          "up": int(up), "down": int(not up), "ops": opcodes}))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -188,6 +179,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("error: --trace needs a single spec", file=sys.stderr)
         return 2
     if args.random:
+        if min(args.max_n, args.max_m) < 1:
+            raise InvalidSpecError("--max-n and --max-m must be >= 1")
         specs = list(
             iter_random_specs(args.count, args.max_n, args.max_m, args.seed)
         )
@@ -263,11 +256,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
         spec = _spec_from_args(args)
         rows.append((spec, f"n={spec.n}"))
     else:
-        n_values = [int(v) for v in args.n_list.split(",")]
+        try:
+            n_values = [int(v) for v in args.n_list.split(",")]
+        except ValueError as exc:
+            raise InvalidSpecError(f"bad --n-list value {args.n_list!r}") from exc
         for n in n_values:
             m = (args.uniform_m,) * n
             k = args.k if args.k is not None else int(sum(m) * args.k_ratio)
-            rows.append((MultisetSpec(m=m, k=k), f"n={n}"))
+            spec = MultisetSpec(m=m, k=k)
+            validate(spec)  # every instance before the header
+            rows.append((spec, f"n={n}"))
 
     print(
         f"{'instance':>12} {'k':>8} {'init_ms':>10} {'objects':>10} {'obj/s':>12} "

@@ -62,41 +62,44 @@ class LexTreeNode:
 def build_lexico_tree(
     spec: MultisetSpec, node_limit: int = TREE_NODE_LIMIT
 ) -> LexTreeNode:
-    """Trie of all count vectors, children ascending by label."""
+    """Trie of all count vectors, children ascending by label.
+
+    Grown depth-first from an explicit stack of (node, units left), so
+    the depth is not bounded by the interpreter's recursion limit.
+    """
     validate(spec)
-    n, k = spec.n, spec.k
+    n = spec.n
     m = (0,) + spec.m
     b = suffix_capacities(spec)
 
+    root = LexTreeNode(label=None, level=0)
+    stack = [(root, spec.k)]
     count = 0
-
-    def grow(level: int, rem: int) -> LexTreeNode:
-        nonlocal count
+    while stack:
+        node, rem = stack.pop()
         count += 1
         if count > node_limit:
             raise OracleLimitError(f"tree exceeds {node_limit} nodes")
-        node = LexTreeNode(label=None, level=level)
-        if level == n:
-            return node
-        i = level + 1
-        lower = max(rem - b[i + 1], 0)
-        upper = min(m[i], rem)
-        for v in range(lower, upper + 1):
-            child = grow(i, rem - v)
-            child.label = v
+        i = node.level + 1
+        if i > n:
+            continue
+        for v in range(max(rem - b[i + 1], 0), min(m[i], rem) + 1):
+            child = LexTreeNode(label=v, level=i)
             node.children.append(child)
-        return node
+            stack.append((child, rem - v))
+    return root
 
-    return grow(0, k)
 
-
-def _copy(node: LexTreeNode) -> LexTreeNode:
-    return LexTreeNode(
-        label=node.label,
-        level=node.level,
-        children=[_copy(c) for c in node.children],
-        parity=node.parity,
-    )
+def _copy(tree: LexTreeNode) -> LexTreeNode:
+    root = LexTreeNode(label=tree.label, level=tree.level, parity=tree.parity)
+    stack = [(tree, root)]
+    while stack:
+        node, twin = stack.pop()
+        for c in node.children:
+            copy = LexTreeNode(label=c.label, level=c.level, parity=c.parity)
+            twin.children.append(copy)
+            stack.append((c, copy))
+    return root
 
 
 def _assign_parities(nodes: list[LexTreeNode], mode: ParityMode) -> None:
@@ -182,18 +185,16 @@ def export_dot(tree: LexTreeNode, node_limit: int = DOT_NODE_LIMIT) -> str:
         '  node [shape=circle, fontsize=10];',
     ]
 
-    def name(path: list[int]) -> str:
-        return "r" if not path else "r_" + "_".join(str(v) for v in path)
-
-    def emit(node: LexTreeNode, path: list[int]) -> None:
+    # Preorder from an explicit stack of (node, name, parent's name): each
+    # node's edge from its parent, then its own line, then its subtrees.
+    stack: list[tuple[LexTreeNode, str, Optional[str]]] = [(tree, "r", None)]
+    while stack:
+        node, name, parent = stack.pop()
+        if parent is not None:
+            lines.append(f"  {parent} -> {name};")
         tag = node.parity if node.parity else "-"
         text = "*" if node.label is None else str(node.label)
-        lines.append(f'  {name(path)} [label="{text}\\nL{node.level} {tag}"];')
-        for child in node.children:
-            child_path = path + [child.label]
-            lines.append(f"  {name(path)} -> {name(child_path)};")
-            emit(child, child_path)
-
-    emit(tree, [])
+        lines.append(f'  {name} [label="{text}\\nL{node.level} {tag}"];')
+        stack.extend((c, f"{name}_{c.label}", name) for c in reversed(node.children))
     lines.append("}")
     return "\n".join(lines) + "\n"

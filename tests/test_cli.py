@@ -13,7 +13,10 @@ from msetgray import (
     TransitionDelta,
     apply_move,
     count_dp,
+    gray_generate_recursive,
     init_container,
+    iter_with_container,
+    lex_generate,
     to_inplace,
     validate_vector,
 )
@@ -223,6 +226,49 @@ def test_enumerate_bytes(capsys, order, form, output, limit):
     assert err == ("" if limit is None else "output truncated at --limit 3\n")
 
 
+def _library_objects(spec, order, form):
+    """A spec's objects in an order and form, straight from the library."""
+    if order == "gray-loopless":
+        if form == "inplace":
+            return [cells for _, cells, _ in iter_with_container(spec)]
+        vectors = list(GrayEngine(spec).iter_vectors())
+    else:
+        vectors = (lex_generate if order == "lex" else gray_generate_recursive)(spec)
+        if form == "inplace":
+            return [to_inplace(spec, vec) for vec in vectors]
+    return _steps(vectors) if form == "delta" else vectors
+
+
+def _dumped_row(form, output, obj, i):
+    """One row as ``str`` and ``json.dumps`` write it."""
+    if form == "delta":
+        if output == "text":
+            return "+" + str(obj.inc) + " -" + str(obj.dec) + "\n"
+        return json.dumps({"inc": obj.inc, "dec": obj.dec}) + "\n"
+    if output == "text":
+        return " ".join(map(str, obj)) + "\n"
+    return json.dumps({"i": i, "a" if form == "vector" else "elems": list(obj)}) + "\n"
+
+
+# k = 0 (empty container rows), n = 1, and cells of more than one digit.
+EDGE_SPECS = [("2,2", 0), ("1", 0), ("5", 3), ("12,10,3", 15)]
+
+
+@pytest.mark.parametrize("m, k", EDGE_SPECS)
+@pytest.mark.parametrize("order, form, output", ENUMERATE_MATRIX)
+def test_enumerate_bytes_edge_specs(capsys, m, k, order, form, output):
+    spec = MultisetSpec(m=tuple(int(v) for v in m.split(",")), k=k)
+    code, out, err = run_cli(
+        capsys, "enumerate", "--m", m, "--k", str(k),
+        "--order", order, "--form", form, "--output", output,
+    )
+    assert (code, err) == (0, "")
+    objects = _library_objects(spec, order, form)
+    assert out == "".join(
+        _dumped_row(form, output, obj, i) for i, obj in enumerate(objects, 1)
+    )
+
+
 class TestEnumerateFailure:
     """A fault mid-stream keeps the rows written and ends in one JSON record."""
 
@@ -375,6 +421,12 @@ class TestVerify:
         assert out == ""
         assert err.splitlines() == ["error: --trace needs a single spec"]
 
+    @pytest.mark.parametrize("bound", ["--max-n", "--max-m"])
+    def test_random_empty_range_exits_2(self, capsys, bound):
+        code, out, err = run_cli(capsys, "verify", "--random", "--count", "2", bound, "0")
+        assert (code, out) == (2, "")
+        assert err == "error: --max-n and --max-m must be >= 1\n"
+
     def test_engine_fault_reported_not_raised(self, capsys, monkeypatch):
         def failing(spec):
             raise EngineError("arrived at an exhausted level: i=5")
@@ -413,6 +465,16 @@ class TestTree:
         assert code == 0
         assert "even" not in out and "odd" not in out
 
+    def test_path_deeper_than_recursion_limit(self, capsys):
+        # One object, a path of 1,101 nodes: 3 header lines, 1,101 nodes,
+        # 1,100 edges and the closing brace.
+        assert sys.getrecursionlimit() < 1101
+        code, out, err = run_cli(capsys, "tree", "--uniform", "1", "--n", "1100", "--k", "0")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 2205
+        assert lines[-2] == '  r%s [label="0\\nL1100 -"];' % ("_0" * 1100)
+
 
 class TestBench:
     def test_single_instance(self, capsys):
@@ -432,6 +494,17 @@ class TestBench:
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 3  # header + two rows
+
+    @pytest.mark.parametrize("n_list", ["abc", "5,x", ""])
+    def test_bad_n_list_exits_2(self, capsys, n_list):
+        code, out, err = run_cli(capsys, "bench", "--n-list", n_list)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad --n-list value {n_list!r}\n"
+
+    def test_invalid_grid_instance_exits_2_before_header(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--n-list", "3,0")
+        assert (code, out) == (2, "")
+        assert err == "error: need at least one component (n >= 1)\n"
 
 
 def test_closed_pipe_exits_quietly():
