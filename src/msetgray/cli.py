@@ -181,6 +181,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.random:
         if min(args.max_n, args.max_m) < 1:
             raise InvalidSpecError("--max-n and --max-m must be >= 1")
+        if args.count < 1:
+            raise InvalidSpecError("--count must be >= 1")
         specs = list(
             iter_random_specs(args.count, args.max_n, args.max_m, args.seed)
         )
@@ -228,16 +230,14 @@ def cmd_tree(args: argparse.Namespace) -> int:
 # -- bench ----------------------------------------------------------------
 
 
-def _bench_one(
-    spec: MultisetSpec, max_steps: Optional[int]
-) -> tuple[float, int, float, float]:
+def _bench_one(spec: MultisetSpec, max_steps: int) -> tuple[float, int, float, float]:
     t = time.perf_counter()
     eng = GrayEngine(spec)
     init = time.perf_counter() - t
     objects = 1
     max_step = 0.0
     start = time.perf_counter()
-    while max_steps is None or objects - 1 < max_steps:
+    while objects - 1 < max_steps:
         t0 = time.perf_counter()
         delta = eng.advance()
         t1 = time.perf_counter()
@@ -251,6 +251,8 @@ def _bench_one(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.max_steps < 1:
+        raise InvalidSpecError("--max-steps must be >= 1")
     rows: list[tuple[MultisetSpec, str]] = []
     if args.m is not None or args.uniform is not None:
         spec = _spec_from_args(args)
@@ -260,6 +262,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             n_values = [int(v) for v in args.n_list.split(",")]
         except ValueError as exc:
             raise InvalidSpecError(f"bad --n-list value {args.n_list!r}") from exc
+        if not 0 <= args.k_ratio <= 1:  # also rejects nan
+            raise InvalidSpecError("--k-ratio must be within [0, 1]")
         for n in n_values:
             m = (args.uniform_m,) * n
             k = args.k if args.k is not None else int(sum(m) * args.k_ratio)

@@ -30,11 +30,18 @@ maintained incrementally:
 ``mark[i]``   whether solve[i] is already prepared for level i; unset
               entries are repaired from the crossing level on descent.
 
+``up[i]`` and ``up1[i]`` are written only when a step lands on level i's
+last child and descends from there; level i+1 resets them to i when it
+lands on its own last child, before the walk returns above level i.  So a
+level's return links differ from the level only while the subtree under
+its last child is walked (the focus-pointer rule).
+
 Bounds at level i are evaluated on demand: a[i] may range over
 lower = max(k - b[i+1] - sum[i], 0) .. upper = min(k - sum[i], m[i]).
 A level sitting at the extreme of its direction is a "last child"; the
-step bookkeeping then prepares solve/down for the opposite path, flips
-d[i], and the traversal either returns to up[i] or descends to down[i].
+step then takes over the return links of the level above, prepares
+solve/down for the opposite path, flips d[i], and either returns to the
+return level or descends to down[i].
 Reaching level 0 terminates the run with the final object in ``a``.
 
 Instances whose object set is a single vector (n == 1, k == 0 or
@@ -228,7 +235,8 @@ class GrayEngine:
             upper = m[i]
 
         di = d[i]
-        if (di > 0 and a[i] == upper) or (di < 0 and a[i] == lower):
+        end = upper if di > 0 else lower
+        if a[i] == end:
             # Arrival nodes always have a sibling in their direction; a
             # hit here means the link bookkeeping went wrong.
             raise EngineError(
@@ -241,79 +249,52 @@ class GrayEngine:
         ai = a[i] + di
         a[i] = ai
         # tuple.__new__ skips the Python-level __new__ of the named tuple.
-        if di > 0:
-            delta = tuple.__new__(TransitionDelta, (i, j))
-        else:
-            delta = tuple.__new__(TransitionDelta, (j, i))
+        delta = tuple.__new__(TransitionDelta, (i, j) if di > 0 else (j, i))
 
-        up[i] = i
-
-        if (di > 0 and ai == upper) or (di < 0 and ai == lower):
+        if ai == end:
             # Landed on the last child: prepare the opposite path.
             p = i - 1
             ret = up[p]
-            up[i] = ret
+            ret1 = up1[p]
             up[p] = p
-            dup = d[ret]
+            up1[p] = p
+            d[i] = -di
+            # Level i is evaluated again after the pending change at the
+            # return level, which shifts its prefix by d[ret].
+            s1 = s + d[ret]
             bn = b[i + 1]
-            lower1 = k - bn - s - dup
+            lower1 = k - bn - s1
             if lower1 < 0:
                 lower1 = 0
-            upper1 = k - s - dup
+            upper1 = k - s1
             if m[i] < upper1:
                 upper1 = m[i]
             nxt = upper1 if di > 0 else lower1
-            if nxt != ai:
-                solve[ret] = i
-            else:
-                solve[ret] = solve[i]
-            mark[ret] = True
-            mark[i] = True
-            up_point = (s + ai == k) or (s + ai + bn == k) or (i == last)
-            if lower1 != upper1:
-                # Prepare sum[i] for the opposite path: the pending change
-                # at the return level will have shifted the prefix by d.
-                sums[i] = s + dup
-            next_landing = (
-                (sums[i] + nxt == k)
-                or (sums[i] + nxt + bn == k)
-                or (i == last)
-            )
-            ret1 = up1[p]
-            up1[i] = ret1
-            up1[p] = p
+            solve[ret] = i if nxt != ai else solve[i]
             if lower1 == upper1:
-                # Forced next node: route the landing link through up1 so
-                # deeper levels can keep patching it.
+                # Forced next node, so no landing: route the landing link
+                # through up1, which the forced levels below keep patching.
+                next_landing = False
                 down[ret1] = i
-            elif next_landing:
-                down[ret] = i
             else:
-                down[ret] = down[i]
-            if next_landing:
-                up1[i] = i
-            d[i] = -di
+                sums[i] = s1
+                next_landing = (s1 + nxt == k) or (s1 + nxt + bn == k) or (i == last)
+                down[ret] = i if next_landing else down[i]
 
-            if up_point:
+            if (s + ai == k) or (s + ai + bn == k) or (i == last):
                 # Straight line below: jump back to the return level.
-                up[i] = i
-                i = ret
-            else:
-                nd = down[i]
-                if not mark[nd]:
-                    solve[nd] = solve[i]
-                mark[i] = False
-                i = nd
-        else:
-            # Not a last child: the next change is deeper on the path
-            # just entered.
-            nd = down[i]
-            if not mark[nd]:
-                solve[nd] = solve[i]
-            mark[i] = False
-            i = nd
+                mark[i] = True
+                self._i = ret
+                return delta
+            up[i] = ret
+            up1[i] = i if next_landing else ret1
 
-        self._i = i
+        # The next change is deeper on the path just entered.
+        nd = down[i]
+        if not mark[nd]:
+            solve[nd] = solve[i]
+        mark[i] = False
+        self._i = nd
         return delta
 
     # -- convenience iteration -------------------------------------------

@@ -427,6 +427,13 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: --max-n and --max-m must be >= 1\n"
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_random_empty_batch_exits_2(self, capsys, count):
+        # A batch that checks nothing must not report success.
+        code, out, err = run_cli(capsys, "verify", "--random", "--count", count)
+        assert (code, out) == (2, "")
+        assert err == "error: --count must be >= 1\n"
+
     def test_engine_fault_reported_not_raised(self, capsys, monkeypatch):
         def failing(spec):
             raise EngineError("arrived at an exhausted level: i=5")
@@ -505,6 +512,19 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", "--n-list", "3,0")
         assert (code, out) == (2, "")
         assert err == "error: need at least one component (n >= 1)\n"
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_no_steps_exits_2(self, capsys, steps):
+        # Timing no step would print a rate from an empty loop.
+        code, out, err = run_cli(capsys, "bench", "--m", "2,2", "--k", "2", "--max-steps", steps)
+        assert (code, out) == (2, "")
+        assert err == "error: --max-steps must be >= 1\n"
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "-0.5", "1.5"])
+    def test_bad_k_ratio_exits_2(self, capsys, ratio):
+        code, out, err = run_cli(capsys, "bench", "--n-list", "3", "--k-ratio", ratio)
+        assert (code, out) == (2, "")
+        assert err == "error: --k-ratio must be within [0, 1]\n"
 
 
 def test_closed_pipe_exits_quietly():

@@ -5,7 +5,6 @@ import sys
 import pytest
 
 from msetgray import (
-    EngineError,
     EngineExhausted,
     GrayEngine,
     MultisetSpec,
@@ -317,20 +316,8 @@ class TestInstrumentation:
         assert restored is outer
 
 
-# The m in {1,2,3}^n, n <= 6 specs on which the engine raises, with the
-# number of objects it emits first (ROADMAP item 1 repairs them).
-KNOWN_ENGINE_FAULTS = {
-    ((1, 3, 1, 1, 1, 1), 4): 27,
-    ((2, 3, 1, 1, 1, 1), 4): 27,
-    ((3, 2, 1, 1, 1, 1), 6): 28,
-    ((3, 3, 1, 1, 1, 1), 4): 27,
-    ((3, 3, 1, 1, 1, 1), 7): 28,
-}
-
-
 def test_exhaustive_small_family_matches_twisted_tree():
     # Every m in {1,2,3}^n, n <= 6, and every k: 13,122 specs.
-    faults = {}
     specs = 0
     for n in range(1, 7):
         for m in itertools.product((1, 2, 3), repeat=n):
@@ -339,18 +326,25 @@ def test_exhaustive_small_family_matches_twisted_tree():
                 leaves = leaf_sequence(
                     twist(build_lexico_tree(spec), ParityMode.SKIP_SINGLE_CHILD)
                 )
-                emitted = []
-                try:
-                    for vec in GrayEngine(spec).iter_vectors():
-                        emitted.append(vec)
-                except EngineError:
-                    faults[(m, k)] = len(emitted)
-                    assert emitted == leaves[: len(emitted)], spec
-                else:
-                    assert emitted == leaves, spec
+                assert list(GrayEngine(spec).iter_vectors()) == leaves, spec
                 specs += 1
     assert specs == 13_122
-    assert faults == KNOWN_ENGINE_FAULTS
+
+
+def test_return_links_reset_below_every_up_jump():
+    # up[i] and up1[i] differ from i only while level i's last-child
+    # subtree is walked: whenever the walk jumps back up to a level, that
+    # level and every level below it hold their own index again.
+    for n in range(1, 6):
+        for m in itertools.product((1, 2, 3), repeat=n):
+            for k in range(sum(m) + 1):
+                eng = GrayEngine(MultisetSpec(m=m, k=k))
+                level = eng.i
+                while eng.advance() is not None:
+                    if eng.i < level:
+                        own = tuple(range(eng.i, n + 1))
+                        assert eng.up[eng.i:] == eng.up1[eng.i:] == own, (m, k)
+                    level = eng.i
 
 
 def test_state_views_are_tuples():
