@@ -7,7 +7,6 @@ Data goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -113,6 +112,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     except (EngineError, RecursionError) as exc:
         # Rows go out before the record.  map() draws an index only once it
         # holds an object, so the next index is one past the rows written.
+        import json
+
         sys.stdout.flush()
         record = {
             "error": type(exc).__name__, "m": list(spec.m), "k": spec.k,
@@ -163,6 +164,8 @@ def _print_trace(spec: MultisetSpec) -> None:
     """One record per step: the level it changed, its delta, whether the
     engine then jumped back up to an ancestor level or down to a deeper
     one, and the bytecodes the step executed."""
+    import json
+
     eng = GrayEngine(spec)
     while True:
         level = eng.i

@@ -19,7 +19,6 @@ All types here are immutable values and safe to share between threads.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import neg
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -33,19 +32,44 @@ class OracleLimitError(RuntimeError):
     """A reference computation would exceed its configured size cap."""
 
 
-@dataclass(frozen=True)
 class MultisetSpec:
-    """Problem instance: multiplicities ``m`` and selection size ``k``."""
+    """Problem instance: multiplicities ``m`` and selection size ``k``.
 
+    An immutable value: equal and hashed on (m, k), and rebuilt from
+    (m, k) by copy and pickle.
+    """
+
+    __slots__ = ("m", "k")
     m: tuple[int, ...]
     k: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: Iterable[int], k: int) -> None:
         try:
-            m = tuple(self.m)
+            m = tuple(m)
         except TypeError:
-            raise InvalidSpecError(f"m must be a sequence of ints, got {self.m!r}") from None
+            raise InvalidSpecError(f"m must be a sequence of ints, got {m!r}") from None
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.m, self.k)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.k) == (other.m, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.k))
+
+    def __repr__(self) -> str:
+        return f"MultisetSpec(m={self.m!r}, k={self.k!r})"
 
     @property
     def n(self) -> int:

@@ -317,25 +317,32 @@ def generate(spec: MultisetSpec, limit: Optional[int] = None) -> list[tuple[int,
 def counted_advance(eng: GrayEngine) -> tuple[Optional[TransitionDelta], int]:
     """Call ``eng.advance()`` once; return its result and the bytecodes run.
 
-    The count covers advance() and every Python function it calls (none:
-    the delta is built by ``tuple.__new__``, which runs no bytecode).  It
-    comes from ``sys.settrace`` with per-opcode events, which makes the
-    step some twenty times slower, so this is for tests and traces, not
-    for timing.  A tracer installed before the call is restored after it.
+    The count covers advance()'s own frame, which is the whole step (it
+    calls no Python function: the delta is built by ``tuple.__new__``),
+    and no other frame run meanwhile, such as a ``gc.callbacks`` entry
+    fired by an allocation.  It comes from ``sys.settrace`` with
+    per-opcode events, which makes the step some twenty times slower, so
+    this is for tests and traces, not for timing.  A tracer installed
+    before the call is restored after it.
     """
     opcodes = 0
+    advance_code = type(eng).advance.__code__
 
-    def tracer(frame, event, arg):
+    def on_call(frame, event, arg):
+        if frame.f_code is not advance_code:
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return count
+
+    def count(frame, event, arg):
         nonlocal opcodes
-        if event == "call":
-            frame.f_trace_lines = False
-            frame.f_trace_opcodes = True
-        elif event == "opcode":
+        if event == "opcode":
             opcodes += 1
-        return tracer
+        return count
 
     previous = sys.gettrace()
-    sys.settrace(tracer)
+    sys.settrace(on_call)
     try:
         delta = eng.advance()
     finally:

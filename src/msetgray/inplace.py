@@ -17,19 +17,18 @@ O(1) work per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .core import MultisetSpec, TransitionDelta, to_inplace, validate
 from .engine import EngineError, GrayEngine
 
 
-@dataclass
 class ContainerState:
     """Container cells (1-based positions) plus per-component position stacks."""
 
-    container: list[int]  # index 0 unused; positions 1..k
-    stacks: list[list[int]]  # index 0 unused; stacks[c] for component c
+    def __init__(self, container: list[int], stacks: list[list[int]]) -> None:
+        self.container = container  # index 0 unused; positions 1..k
+        self.stacks = stacks  # index 0 unused; stacks[c] for component c
 
     def cells(self) -> tuple[int, ...]:
         """Current container content at positions 1..k."""

@@ -28,7 +28,6 @@ never materializes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
 
@@ -46,14 +45,16 @@ class ParityMode(Enum):
     SKIP_SINGLE_CHILD = "skip-single-child"
 
 
-@dataclass
 class LexTreeNode:
     """One trie node: branch value, depth, ordered children, parity tag."""
 
-    label: Optional[int]  # None at the root
-    level: int
-    children: list["LexTreeNode"] = field(default_factory=list)
-    parity: Optional[str] = None  # EVEN | ODD | None
+    __slots__ = ("label", "level", "children", "parity")
+
+    def __init__(self, label: Optional[int], level: int, parity: Optional[str] = None) -> None:
+        self.label = label  # None at the root
+        self.level = level
+        self.children: list[LexTreeNode] = []
+        self.parity = parity  # EVEN | ODD | None
 
     def is_leaf(self) -> bool:
         return not self.children

@@ -11,7 +11,6 @@ reported but do not gate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .core import (
@@ -28,18 +27,21 @@ from .reference import brute_force, gray_generate_recursive, lex_generate
 from .treemodel import ParityMode, build_lexico_tree, leaf_sequence, twist
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+
+    def __repr__(self) -> str:
+        return f"CheckResult({self.name!r}, {self.passed!r}, {self.detail!r})"
 
 
-@dataclass
 class SpecReport:
-    spec: MultisetSpec
-    checks: list[CheckResult] = field(default_factory=list)
-    info: dict[str, bool] = field(default_factory=dict)
+    def __init__(self, spec: MultisetSpec) -> None:
+        self.spec = spec
+        self.checks: list[CheckResult] = []
+        self.info: dict[str, bool] = {}
 
     @property
     def passed(self) -> bool:

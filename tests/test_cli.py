@@ -549,6 +549,23 @@ def test_closed_pipe_exits_quietly():
     assert proc.returncode == 0
 
 
+def test_import_skips_modules_enumerate_never_runs():
+    # Every CLI call first imports the package: dataclasses (which pulls in
+    # inspect) and json would add to each call's start-up for nothing.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    show = "import sys; print(*sorted(sys.modules))"
+
+    def modules(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return set(proc.stdout.split())
+
+    added = modules("import msetgray.cli; " + show) - modules(show)
+    assert "msetgray.cli" in added
+    assert not added & {"dataclasses", "inspect", "json"}, sorted(added)
+
+
 def test_enumeration_deterministic(capsys):
     args = ["enumerate", "--m", "2,3,1", "--k", "3"]
     code1, out1, _ = run_cli(capsys, *args)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from msetgray import (
@@ -59,6 +62,41 @@ class TestValidate:
         assert spec.m == (1, 2)
         assert spec.n == 2
         assert spec.total == 3
+
+
+class TestSpecValue:
+    def test_positional_and_keyword_build_equal(self):
+        spec = MultisetSpec((2, 2), 2)
+        assert spec == MultisetSpec(m=[2, 2], k=2)
+        assert hash(spec) == hash(MultisetSpec(k=2, m=(2, 2)))
+        assert spec != MultisetSpec(m=(2, 2), k=3)
+        assert spec != MultisetSpec(m=(2, 2, 1), k=2)
+        assert spec != ((2, 2), 2)
+
+    def test_repr(self):
+        assert repr(MultisetSpec(m=[2, 2], k=2)) == "MultisetSpec(m=(2, 2), k=2)"
+
+    @pytest.mark.parametrize("name", ["m", "k", "other"])
+    def test_immutable(self, name):
+        spec = MultisetSpec(m=(2, 2), k=2)
+        with pytest.raises(AttributeError):
+            setattr(spec, name, (1,))
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
+        assert spec == MultisetSpec(m=(2, 2), k=2)
+
+    def test_copy_deepcopy_pickle_round_trip(self):
+        spec = MultisetSpec(m=(1, 2, 2, 1, 1), k=4)
+        pickled = [pickle.loads(pickle.dumps(spec, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in [copy.copy(spec), copy.deepcopy(spec), *pickled]:
+            assert twin == spec and hash(twin) == hash(spec)
+            assert type(twin.m) is tuple and twin.n == 5
+            with pytest.raises(AttributeError):
+                twin.k = 3
+
+    def test_non_sequence_m_rejected(self):
+        with pytest.raises(InvalidSpecError, match="m must be a sequence of ints, got 5"):
+            MultisetSpec(m=5, k=1)
 
 
 class TestFirstCombination:

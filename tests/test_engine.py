@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -285,6 +286,36 @@ class TestInstrumentation:
             eng = GrayEngine(MultisetSpec(m=(3,) * n, k=(3 * n) // 2))
             maxima[n] = max(counted_advance(eng)[1] for _ in range(2000))
         assert max(maxima.values()) <= OPCODE_CEILING, maxima
+
+    def test_gc_callbacks_not_counted(self):
+        # A collection triggered by the step's allocation runs gc.callbacks
+        # inside the counted call; their bytecodes are not the step's.
+        spec = MultisetSpec(m=(3,) * 40, k=60)
+
+        def counts():
+            eng = GrayEngine(spec)
+            return [counted_advance(eng)[1] for _ in range(300)]
+
+        fired = []
+
+        def callback(phase, info):
+            fired.append(phase)
+
+        was_enabled, threshold = gc.isenabled(), gc.get_threshold()
+        try:
+            gc.disable()
+            quiet = counts()
+            gc.callbacks.append(callback)
+            gc.set_threshold(1)
+            gc.enable()
+            noisy = counts()
+        finally:
+            if callback in gc.callbacks:
+                gc.callbacks.remove(callback)
+            gc.set_threshold(*threshold)
+            (gc.enable if was_enabled else gc.disable)()
+        assert fired
+        assert noisy == quiet
 
     def test_trace_fields(self):
         # The trace fields are derived outside the engine, as verify --trace

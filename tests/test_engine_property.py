@@ -7,7 +7,7 @@ ones); a failure shrinks to a smallest spec that still fails.
 
 from itertools import islice, product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msetgray import (
@@ -79,8 +79,12 @@ def specs(draw, max_n=9, max_m=3):
     return MultisetSpec(m=m, k=draw(st.integers(0, sum(m))))
 
 
+# derandomize seeds the draws from the test's source, so an edit can move
+# them off a past fault; the @example specs are the faults' shapes, kept.
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(specs())
+@example(MultisetSpec(m=(1, 3, 1, 1, 1, 1), k=4))
+@example(MultisetSpec(m=(3, 2, 3, 3, 1, 1, 1, 1, 1), k=10))
 def test_engine_emits_a_prefix_of_the_twisted_leaves(spec):
     assert list(GrayEngine(spec).iter_vectors()) == twisted_leaves(spec)
 
@@ -95,6 +99,7 @@ def long_specs(draw):
 # of m in 1..4 hardly ever produce; the repeated 1s keep such runs likely.
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(long_specs())
+@example(MultisetSpec(m=(1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1), k=4))
 def test_engine_matches_the_walker_up_to_n40(spec):
     # The first 3,000 objects: enough to cross many levels, few enough
     # for 200 examples in a few seconds.
