@@ -8,41 +8,49 @@ of the object set: children of a tree node are the feasible values of the
 next vector position, and each level is swept alternately upward and
 downward so that consecutive leaves differ in exactly two positions.
 
-The constant-time step relies on a small set of per-level links that are
-maintained incrementally:
+A level whose remainder k - sum[i] is 0 or b[i] has a single child, and
+so has every level below it; level n always has one.  So the levels with a
+choice on the current path are a prefix 1..L, and the forced levels
+L+1..n are "the tail".  The step keeps these per-level values:
 
-``d[i]``      sweep direction of level i: +1 increasing, -1 decreasing.
-``b[i]``      static suffix capacity m[i] + ... + m[n] (b[n+1] = 0).
-``sum[i]``    prefix sum a[1] + ... + a[i-1], valid whenever level i is
-              evaluated; it is pre-adjusted when a pending change at a
-              shallower level is already known.
-``solve[i]``  the balancing level: a unit moved at level i is compensated
-              at solve[i], which keeps the total at k.
-``up[i]``     return level: nearest ancestor level that still has an
-              unvisited sibling.  While the traversal walks through last
-              children the value propagates downward, so a single jump
-              lands on the right ancestor.
-``down[i]``   landing level: the deepest level with a sibling choice on
-              the path entered after crossing at level i; the next change
-              happens there.
-``up1[i]``    auxiliary propagation link used to patch ``down`` across
-              runs of forced (single-child) levels.
-``mark[i]``   whether solve[i] is already prepared for level i; unset
-              entries are repaired from the crossing level on descent.
+``d[i]``    sweep direction of level i: +1 increasing, -1 decreasing.
+``b[i]``    static suffix capacity m[i] + ... + m[n] (b[n+1] = 0).
+``sum[i]``  prefix sum a[1] + ... + a[i-1], exact whenever level i is the
+            focus; for a level between the focus and L it already counts
+            the unit the focus will move next (it is pre-adjusted).  A
+            tail level's sum is written before it is read.
 
-``up[i]`` and ``up1[i]`` are written only when a step lands on level i's
-last child and descends from there; level i+1 resets them to i when it
-lands on its own last child, before the walk returns above level i.  So a
-level's return links differ from the level only while the subtree under
-its last child is walked (the focus-pointer rule).
+and three links:
 
-Bounds at level i are evaluated on demand: a[i] may range over
-lower = max(k - b[i+1] - sum[i], 0) .. upper = min(k - sum[i], m[i]).
-A level sitting at the extreme of its direction is a "last child"; the
-step then takes over the return links of the level above, prepares
-solve/down for the opposite path, flips d[i], and either returns to the
-return level or descends to down[i].
-Reaching level 0 terminates the run with the final object in ``a``.
+``up[i]``   focus pointer: where the walk returns when level i+1 lands on
+            its last child.  That is i itself, unless level i has landed
+            too and descended; then up[i] carries the nearest level above
+            with a sibling left, so one jump reaches it.  A level's
+            pointer differs from the level only while the subtree under
+            its last child is walked.
+``alt[i]``  written when level i lands: the deepest level above i, within
+            its run of landed levels, that leans the other way from i's
+            new direction; the active level above the run if none does.
+``bot[t]``  the tail as a stack of blocks: the block whose top is level t
+            ends at level bot[t].
+
+plus the scalar ``L``.  The focus i is the deepest level that has not
+landed.  Its window is max(k - b[i+1] - sum[i], 0) .. min(m[i],
+k - sum[i]), and it moves one unit in direction d[i].  The partner j, the
+one other level that changes, is the first level below i whose value
+differs when the levels below re-enter their sweeps at the new prefix:
+L, if L lies below i and its first value there differs from a[L];
+otherwise the bottom bot[L+1] of the tail's top block.  Then L moves:
+- down to the partner (at most n-1) when the partner came from the tail
+  and the tail has more than level n;
+- up when L is forced now: to L-1, or to alt[L-1] if L-1 lies below i
+  and leans the way of the step; the partner closes the new tail's top
+  block;
+- nowhere otherwise.
+When a[i] reaches the end of its sweep (its last child), d[i] flips and
+the focus either jumps to the return level (if i is now L) or moves down
+to L, leaving its return level in up[i].  Reaching level 0 terminates
+the run with the final object in ``a``.
 
 Instances whose object set is a single vector (n == 1, k == 0 or
 k == sum(m); any other instance can move a unit between two positions)
@@ -52,7 +60,8 @@ finishes.
 Nothing in advance() watches the step.  :func:`counted_advance` counts
 the bytecodes one step executes from outside, through the interpreter's
 trace hook; the tests hold that count under a frozen ceiling for n from
-10 to 1000, and ``msetgray verify --trace`` reports it per step.
+10 to 1000 and under the longest path through advance()'s bytecode, and
+``msetgray verify --trace`` reports it per step.
 
 One engine serves one sequential consumer; independent engines may run
 in parallel freely.
@@ -106,9 +115,9 @@ class GrayEngine:
         self._a = a
         self._finished = False
         self._up = up = list(range(n + 1))
-        self._up1 = up1 = up.copy()
-        self._solve = solve = [n] * (n + 1)
-        self._mark = mark = [False] * (n + 1)
+        # alt is written when a level lands, before it is read.
+        alt = [0] * (n + 1)
+        bot = [n] * (n + 1)
 
         if n == 1 or k == 0 or k == b[1]:
             # Single-object instance: nothing to traverse.
@@ -116,7 +125,6 @@ class GrayEngine:
             self._start = 0
             self._d = [0] * (n + 1)
             self._sum = [0] * (n + 1)
-            self._down = [0] * (n + 1)
         else:
             # The first change happens at the deepest level with a sibling
             # choice.  That is the fill stop level i0, except when the fill
@@ -126,24 +134,18 @@ class GrayEngine:
             self._start = start
             self._i = start
 
-            # d[0] stays 0: it is read through d[up[i]] when the return level
-            # is the root, where no direction bias must apply.
+            # d[0] stays 0: it is read as d[ret] and d[p] when the return
+            # level is the root, where no direction bias must apply.
             self._d = [0, *repeat(1, start), *repeat(-1, n - start)]
 
-            # sum[i] = a[1] + ... + a[i-1], except that levels right of the
-            # start already sit on their way back: their next evaluation
-            # happens after the start level gains one unit, so their sums
-            # count that unit.
-            a[start] += 1
+            # sum[i] = a[1] + ... + a[i-1]; advance() writes the sums of
+            # levels right of the start before it reads them.
             self._sum = list(accumulate(islice(a, n), initial=0))
-            a[start] -= 1
-
-            self._down = [0, *repeat(n - 1, n - 1), 0]
+        # Levels 1..start have a choice; start+1..n fill the right end.
+        self._L = self._start
 
         # What advance() reads on every step, fetched with one attribute load.
-        self._step_state = (
-            a, b, self._d, self._sum, up, up1, self._down, solve, mark, m, k, n - 1
-        )
+        self._step_state = (a, b, self._d, self._sum, up, alt, bot, m, k, n - 1)
 
     # -- read-only views ------------------------------------------------
 
@@ -189,22 +191,6 @@ class GrayEngine:
     def up(self) -> tuple[int, ...]:
         return tuple(self._up)
 
-    @property
-    def up1(self) -> tuple[int, ...]:
-        return tuple(self._up1)
-
-    @property
-    def down(self) -> tuple[int, ...]:
-        return tuple(self._down[1:])
-
-    @property
-    def solve(self) -> tuple[int, ...]:
-        return tuple(self._solve[1:])
-
-    @property
-    def mark(self) -> tuple[bool, ...]:
-        return tuple(self._mark[1:])
-
     def current(self) -> tuple[int, ...]:
         """The combination the engine currently stands on."""
         return tuple(self._a[1:])
@@ -217,84 +203,82 @@ class GrayEngine:
         Straight-line code: no loop, no recursion, no call but the delta's
         constructor, so the work per step does not depend on n, k or m.
         """
-        if self._finished:
-            raise EngineExhausted("advance() called after the run finished")
         i = self._i
-        if i == 0:
+        if not i:  # only the end of the run sets level 0
+            if self._finished:
+                raise EngineExhausted("advance() called after the run finished")
             self._finished = True
             return None
 
-        a, b, d, sums, up, up1, down, solve, mark, m, k, last = self._step_state
+        a, b, d, sums, up, alt, bot, m, k, last = self._step_state
+        L = self._L
 
         s = sums[i]
-        lower = k - b[i + 1] - s
-        if lower < 0:
-            lower = 0
-        upper = k - s
-        if m[i] < upper:
-            upper = m[i]
-
         di = d[i]
-        end = upper if di > 0 else lower
+        if di > 0:
+            end = k - s
+            if m[i] < end:
+                end = m[i]
+        else:
+            end = k - b[i + 1] - s
+            if end < 0:
+                end = 0
         if a[i] == end:
-            # Arrival nodes always have a sibling in their direction; a
-            # hit here means the link bookkeeping went wrong.
+            # Arrival levels always have a sibling left: the links went wrong.
+            lower = k - b[i + 1] - s
+            upper = k - s
             raise EngineError(
-                f"arrived at an exhausted level: i={i}, a[i]={a[i]}, "
-                f"d[i]={di}, window [{lower},{upper}]"
+                f"arrived at an exhausted level: i={i}, a[i]={a[i]}, d[i]={di}, window "
+                f"[{lower if lower > 0 else 0},{upper if upper < m[i] else m[i]}]"
             )
 
-        j = solve[i]
+        # The partner: L if its first value at the new prefix differs, else bot[L+1].
+        j = bot[L + 1]
+        if L > i:
+            rem = k - sums[L]
+            if d[L] < 0:
+                first = m[L] if m[L] < rem else rem
+            else:
+                first = rem - b[L + 1]
+                if first < 0:
+                    first = 0
+            if first != a[L]:
+                j = L
+
         a[j] -= di
         ai = a[i] + di
         a[i] = ai
         # tuple.__new__ skips the Python-level __new__ of the named tuple.
         delta = tuple.__new__(TransitionDelta, (i, j) if di > 0 else (j, i))
 
+        # L moves up if it is forced now, down if the partner left the tail.
+        new_L = L
+        if L > i and (rem == 0 or rem == b[L]):
+            new_L = L - 1
+            if new_L > i and d[new_L] == di:
+                new_L = alt[new_L]
+            bot[new_L + 1] = j
+            self._L = new_L
+        elif j > L and L < last:
+            new_L = j if j < last else last
+            sums[new_L] = k - 1 if di < 0 else k - b[new_L] + 1
+            self._L = new_L
+
         if ai == end:
-            # Landed on the last child: prepare the opposite path.
+            # Landed on the last child: sum[i] counts the return level's unit.
             p = i - 1
             ret = up[p]
-            ret1 = up1[p]
             up[p] = p
-            up1[p] = p
             d[i] = -di
-            # Level i is evaluated again after the pending change at the
-            # return level, which shifts its prefix by d[ret].
-            s1 = s + d[ret]
-            bn = b[i + 1]
-            lower1 = k - bn - s1
-            if lower1 < 0:
-                lower1 = 0
-            upper1 = k - s1
-            if m[i] < upper1:
-                upper1 = m[i]
-            nxt = upper1 if di > 0 else lower1
-            solve[ret] = i if nxt != ai else solve[i]
-            if lower1 == upper1:
-                # Forced next node, so no landing: route the landing link
-                # through up1, which the forced levels below keep patching.
-                next_landing = False
-                down[ret1] = i
-            else:
-                sums[i] = s1
-                next_landing = (s1 + nxt == k) or (s1 + nxt + bn == k) or (i == last)
-                down[ret] = i if next_landing else down[i]
-
-            if (s + ai == k) or (s + ai + bn == k) or (i == last):
-                # Straight line below: jump back to the return level.
-                mark[i] = True
+            alt[i] = p if ret == p or d[p] == di else alt[p]
+            if ret == p:
+                sums[p] = s - a[p]
+            sums[i] = s + d[ret]
+            if new_L == i:
                 self._i = ret
                 return delta
             up[i] = ret
-            up1[i] = i if next_landing else ret1
-
-        # The next change is deeper on the path just entered.
-        nd = down[i]
-        if not mark[nd]:
-            solve[nd] = solve[i]
-        mark[i] = False
-        self._i = nd
+        self._i = new_L
         return delta
 
     # -- convenience iteration -------------------------------------------

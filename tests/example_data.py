@@ -81,7 +81,9 @@ RECURSIVE_SEQUENCE = [
 
 # Most bytecodes one GrayEngine.advance() executes (counted_advance;
 # the delta's constructor runs none) over 10,000 steps from the start of
-# m=(3,)*n, k=3n//2, for n = 10, 100 and 1000: the maxima are 283, 275
-# and 273.  Bytecode differs between interpreter versions; this value is
-# frozen for CPython 3.11.
-OPCODE_CEILING = 283
+# m=(3,)*n, k=3n//2, for n = 10, 100 and 1000: the maxima are 241, 231
+# and 231.  Bytecode differs between interpreter versions; this value is
+# frozen for CPython 3.11.  The longest path through advance()'s bytecode
+# (straight_line_bound in tests/test_engine.py) is 252 there; that bound
+# is computed afresh on any version.
+OPCODE_CEILING = 241

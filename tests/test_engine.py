@@ -1,3 +1,4 @@
+import dis
 import gc
 import itertools
 import random
@@ -32,6 +33,63 @@ from msetgray.core import suffix_capacities
 from example_data import ENGINE_SEQUENCE, EXAMPLE_SPEC, OPCODE_CEILING
 
 
+# The names advance() may load as globals: what it calls (tuple.__new__
+# and the two exception constructors) and the delta's type.
+STEP_GLOBALS = {"tuple", "TransitionDelta", "EngineError", "EngineExhausted"}
+UNCONDITIONAL_JUMPS = {
+    "JUMP", "JUMP_FORWARD", "JUMP_ABSOLUTE", "JUMP_BACKWARD",
+    "JUMP_NO_INTERRUPT", "JUMP_BACKWARD_NO_INTERRUPT",
+}
+EXITS = {"RETURN_VALUE", "RETURN_CONST", "RAISE_VARARGS", "RERAISE"}
+# Loops, try blocks, nested code, imports and closures (CPython 3.10-3.13
+# opcode names; only 3.11 is tested).
+FORBIDDEN_PREFIXES = (
+    "SETUP_", "FOR_ITER", "GET_", "YIELD", "MAKE_FUNCTION", "IMPORT_",
+    "LOAD_DEREF", "LOAD_NAME", "LOAD_CLOSURE",
+)
+
+
+def straight_line_bound():
+    """The most instructions one call of GrayEngine.advance can execute.
+
+    Asserts first that the bytecode cannot repeat itself or call Python
+    code: every jump goes forward, the exception table is empty (no
+    try), no function or generator is built, the only globals loaded
+    are STEP_GLOBALS, every attribute read or written is an instance
+    attribute (so no property runs, and no method of the class can be
+    called back) or tuple's ``__new__``, and there is one call per
+    allowed callee.  The forward jumps then form a DAG, and the bound is
+    its longest path from the first instruction to an exit.  Paths that
+    no input takes count too, so a traced step stays at or under it.
+    """
+    code = GrayEngine.advance.__code__
+    instructions = list(dis.get_instructions(code))
+    assert not getattr(code, "co_exceptiontable", b""), "exception table"
+    jumps = set(dis.hasjrel) | set(dis.hasjabs)
+    index = {ins.offset: n for n, ins in enumerate(instructions)}
+    calls = 0
+    for ins in instructions:
+        name = ins.opname
+        assert not name.startswith(FORBIDDEN_PREFIXES), ins
+        if ins.opcode in jumps:
+            assert ins.argval > ins.offset, f"backward jump: {ins}"
+        if name == "LOAD_GLOBAL":
+            assert ins.argval in STEP_GLOBALS, ins
+        if name in {"LOAD_ATTR", "LOAD_METHOD", "STORE_ATTR"}:
+            assert ins.argval == "__new__" or not hasattr(GrayEngine, ins.argval), ins
+        calls += name.startswith("CALL")
+    assert calls == 3, f"{calls} calls"
+
+    longest = [0] * (len(instructions) + 1)
+    for n in range(len(instructions) - 1, -1, -1):
+        ins = instructions[n]
+        nexts = [] if ins.opname in EXITS | UNCONDITIONAL_JUMPS else [longest[n + 1]]
+        if ins.opcode in jumps:
+            nexts.append(longest[index[ins.argval]])
+        longest[n] = 1 + max(nexts, default=0)
+    return longest[0]
+
+
 def random_spec(rng, max_n=6, max_m=4):
     n = rng.randint(1, max_n)
     m = tuple(rng.randint(1, max_m) for _ in range(n))
@@ -45,11 +103,8 @@ class TestInit:
         assert eng.current() == (0, 0, 2, 1, 1)
         assert eng.d == (1, 1, -1, -1, -1)
         assert eng.b == (7, 6, 4, 2, 1, 0)  # includes the b[n+1] sentinel
-        assert eng.solve == (5, 5, 5, 5, 5)
-        assert eng.down[:4] == (4, 4, 4, 4)
-        assert eng.mark == (False,) * 5
-        # prefix sums carry the +1 offset right of the start level
-        assert eng.sum == (0, 0, 1, 3, 4)
+        assert eng.up == (0, 1, 2, 3, 4, 5)
+        assert eng.sum == (0, 0, 0, 2, 3)
 
     def test_saturated_single_object(self):
         eng = GrayEngine(MultisetSpec(m=(2, 2), k=4))
@@ -105,11 +160,11 @@ def expected_initial_state(spec):
     b = tuple(loop_suffix_capacities(spec.m)[1:])
     if a == last_combination(spec):
         zeros = (0,) * n
-        return dict(current=a, i0=0, b=b, d=zeros, sum=zeros, down=zeros, solve=(n,) * n)
+        return dict(current=a, i0=0, b=b, d=zeros, sum=zeros, up=tuple(range(n + 1)))
     start = i0 if i0 < n else n - 1
     sums, prefix = [], 0
     for i in range(1, n + 1):
-        sums.append(prefix + (1 if i > start else 0))
+        sums.append(prefix)
         prefix += a[i - 1]
     return dict(
         current=a,
@@ -117,15 +172,13 @@ def expected_initial_state(spec):
         b=b,
         d=tuple(1 if i <= start else -1 for i in range(1, n + 1)),
         sum=tuple(sums),
-        down=(n - 1,) * (n - 1) + (0,),
-        solve=(n,) * n,
+        up=tuple(range(n + 1)),
     )
 
 
 def initial_state(eng):
     return dict(
-        current=eng.current(), i0=eng.i0, b=eng.b, d=eng.d, sum=eng.sum,
-        down=eng.down, solve=eng.solve,
+        current=eng.current(), i0=eng.i0, b=eng.b, d=eng.d, sum=eng.sum, up=eng.up,
     )
 
 
@@ -148,8 +201,6 @@ class TestConstruction:
                     eng = GrayEngine(spec)
                     assert initial_state(eng) == expected_initial_state(spec), spec
                     assert (eng.i0 == 0) == single, spec
-                    assert eng.up == eng.up1 == tuple(range(n + 1)), spec
-                    assert eng.mark == (False,) * n, spec
 
     def test_large_instance(self):
         rng = random.Random(5)
@@ -330,6 +381,27 @@ class TestInstrumentation:
         assert went_up != went_down
         assert 0 < opcodes <= OPCODE_CEILING
 
+    def test_traced_maximum_within_static_bound(self):
+        # Every step of every m in {1,2,3}^n, n <= 5, and every k.
+        bound = straight_line_bound()
+        steps = most = 0
+        for n in range(1, 6):
+            for m in itertools.product((1, 2, 3), repeat=n):
+                for k in range(sum(m) + 1):
+                    eng = GrayEngine(MultisetSpec(m=m, k=k))
+                    while True:
+                        delta, opcodes = counted_advance(eng)
+                        steps += 1
+                        most = max(most, opcodes)
+                        if delta is None:
+                            break
+        assert steps == 66_429
+        assert most <= bound, (most, bound)
+
+    def test_advance_is_straight_line(self):
+        # The frozen ceiling is a count the code can reach, never more.
+        assert OPCODE_CEILING <= straight_line_bound()
+
     def test_restores_previous_tracer(self):
         calls = []
 
@@ -357,15 +429,17 @@ def test_exhaustive_small_family_matches_twisted_tree():
                 leaves = leaf_sequence(
                     twist(build_lexico_tree(spec), ParityMode.SKIP_SINGLE_CHILD)
                 )
-                assert list(GrayEngine(spec).iter_vectors()) == leaves, spec
+                # One object past the end: an engine that never ends fails.
+                engine = itertools.islice(GrayEngine(spec).iter_vectors(), len(leaves) + 1)
+                assert list(engine) == leaves, spec
                 specs += 1
     assert specs == 13_122
 
 
 def test_return_links_reset_below_every_up_jump():
-    # up[i] and up1[i] differ from i only while level i's last-child
-    # subtree is walked: whenever the walk jumps back up to a level, that
-    # level and every level below it hold their own index again.
+    # up[i] differs from i only while level i's last-child subtree is
+    # walked: whenever the walk jumps back up to a level, that level and
+    # every level below it hold their own index again.
     for n in range(1, 6):
         for m in itertools.product((1, 2, 3), repeat=n):
             for k in range(sum(m) + 1):
@@ -374,11 +448,11 @@ def test_return_links_reset_below_every_up_jump():
                 while eng.advance() is not None:
                     if eng.i < level:
                         own = tuple(range(eng.i, n + 1))
-                        assert eng.up[eng.i:] == eng.up1[eng.i:] == own, (m, k)
+                        assert eng.up[eng.i:] == own, (m, k)
                     level = eng.i
 
 
 def test_state_views_are_tuples():
     eng = GrayEngine(EXAMPLE_SPEC)
-    for view in (eng.a, eng.d, eng.b, eng.sum, eng.solve, eng.down, eng.mark):
+    for view in (eng.a, eng.d, eng.b, eng.sum, eng.up):
         assert isinstance(view, tuple)

@@ -1,5 +1,6 @@
 """Shrinking property tests: the engine against the twisted tree's leaves
-and, at sizes the tree cannot reach, against a lazy tree walker.
+and, at sizes the tree cannot reach, against a lazy tree walker, which is
+also the oracle of an exhaustive family of runs of m=1 and m=2 levels.
 
 Specs are drawn by hypothesis (derandomized, so every run draws the same
 ones); a failure shrinks to a smallest spec that still fails.
@@ -64,6 +65,14 @@ def twisted_leaves(spec):
     return leaf_sequence(twist(build_lexico_tree(spec), ParityMode.SKIP_SINGLE_CHILD))
 
 
+def engine_matches_walker(spec):
+    """Whether the engine emits exactly the walker's objects.  It draws at
+    most one object more than the walker has, so an engine that never
+    ends fails too."""
+    expected = list(walk_skip(spec))
+    return list(islice(GrayEngine(spec).iter_vectors(), len(expected) + 1)) == expected
+
+
 def test_walker_matches_twisted_leaves():
     # Every m in {1,2,3,4}^n, n <= 4, and every k.
     for n in range(1, 5):
@@ -71,6 +80,19 @@ def test_walker_matches_twisted_leaves():
             for k in range(sum(m) + 1):
                 spec = MultisetSpec(m=m, k=k)
                 assert list(walk_skip(spec)) == twisted_leaves(spec), spec
+
+
+def test_engine_matches_the_walker_on_runs_of_ones_and_twos():
+    # Every m in {1,2}^n, n = 7 and 8, and every k: 4,800 specs.  Forced
+    # m=1 levels are where the engine has faulted before.
+    specs = 0
+    for n in (7, 8):
+        for m in product((1, 2), repeat=n):
+            for k in range(sum(m) + 1):
+                spec = MultisetSpec(m=m, k=k)
+                assert engine_matches_walker(spec), spec
+                specs += 1
+    assert specs == 4_800
 
 
 @st.composite
@@ -86,7 +108,9 @@ def specs(draw, max_n=9, max_m=3):
 @example(MultisetSpec(m=(1, 3, 1, 1, 1, 1), k=4))
 @example(MultisetSpec(m=(3, 2, 3, 3, 1, 1, 1, 1, 1), k=10))
 def test_engine_emits_a_prefix_of_the_twisted_leaves(spec):
-    assert list(GrayEngine(spec).iter_vectors()) == twisted_leaves(spec)
+    leaves = twisted_leaves(spec)
+    # One object past the end: an engine that never ends fails.
+    assert list(islice(GrayEngine(spec).iter_vectors(), len(leaves) + 1)) == leaves
 
 
 @st.composite
