@@ -19,7 +19,6 @@ from .core import (
     OracleLimitError,
     TransitionDelta,
     to_inplace,
-    validate,
 )
 from .counting import IE_SUBSET_LIMIT, count_dp, count_inclusion_exclusion
 from .engine import EngineError, GrayEngine, counted_advance
@@ -50,9 +49,7 @@ def _spec_from_args(args: argparse.Namespace) -> MultisetSpec:
         raise InvalidSpecError("spec required: --m LIST or --uniform M --n N")
     if args.k is None:
         raise InvalidSpecError("--k is required")
-    spec = MultisetSpec(m=m, k=args.k)
-    validate(spec)
-    return spec
+    return MultisetSpec(m=m, k=args.k)
 
 
 def _delta_between(x: Sequence[int], y: Sequence[int]) -> TransitionDelta:
@@ -182,6 +179,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("error: --trace needs a single spec", file=sys.stderr)
         return 2
     if args.random:
+        if (args.m, args.uniform, args.n, args.k) != (None,) * 4:
+            raise InvalidSpecError("--random draws its own specs: drop --m, --uniform, --n, --k")
         if min(args.max_n, args.max_m) < 1:
             raise InvalidSpecError("--max-n and --max-m must be >= 1")
         if args.count < 1:
@@ -261,6 +260,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         spec = _spec_from_args(args)
         rows.append((spec, f"n={spec.n}"))
     else:
+        if args.n is not None:
+            raise InvalidSpecError("--n needs --uniform: the grid takes n from --n-list")
         try:
             n_values = [int(v) for v in args.n_list.split(",")]
         except ValueError as exc:
@@ -270,9 +271,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for n in n_values:
             m = (args.uniform_m,) * n
             k = args.k if args.k is not None else int(sum(m) * args.k_ratio)
-            spec = MultisetSpec(m=m, k=k)
-            validate(spec)  # every instance before the header
-            rows.append((spec, f"n={n}"))
+            rows.append((MultisetSpec(m=m, k=k), f"n={n}"))  # validated before the header
 
     print(
         f"{'instance':>12} {'k':>8} {'init_ms':>10} {'objects':>10} {'obj/s':>12} "

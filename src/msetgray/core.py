@@ -36,7 +36,8 @@ class MultisetSpec:
     """Problem instance: multiplicities ``m`` and selection size ``k``.
 
     An immutable value: equal and hashed on (m, k), and rebuilt from
-    (m, k) by copy and pickle.
+    (m, k) by copy and pickle.  Validated at construction: building an
+    invalid spec raises InvalidSpecError, so every spec is well formed.
     """
 
     __slots__ = ("m", "k")
@@ -50,6 +51,7 @@ class MultisetSpec:
             raise InvalidSpecError(f"m must be a sequence of ints, got {m!r}") from None
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", k)
+        validate(self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -90,7 +92,7 @@ class TransitionDelta(NamedTuple):
 
 
 def validate(spec: MultisetSpec) -> None:
-    """Raise InvalidSpecError unless the instance is well formed.
+    """Raise InvalidSpecError unless the instance is well formed; MultisetSpec calls it.
 
     Every multiplicity and k must be an int (bool is refused, though it
     is one).  Zero multiplicities are rejected rather than skipped;
@@ -136,7 +138,6 @@ def first_combination(spec: MultisetSpec) -> tuple[tuple[int, ...], int]:
     fills and i0 is reported as 0 ("no free level").  Positions left of
     i0 are explicitly zero.
     """
-    validate(spec)
     a, i0 = fill_from_right(spec, suffix_capacities(spec))
     return tuple(islice(a, 1, None)), i0
 
@@ -146,7 +147,7 @@ def fill_from_right(spec: MultisetSpec, b: list[int]) -> tuple[list[int], int]:
 
     ``b`` is ``suffix_capacities(spec)``.  Levels i0+1..n are exactly the
     ones whose suffix fits in k; b falls as i grows, so a bisection finds
-    i0 and slices fill the vector.  The spec must be valid.
+    i0 and slices fill the vector.
     """
     n, k = spec.n, spec.k
     # First level whose suffix capacity is at most k (n+1 if none is).
@@ -171,7 +172,6 @@ def suffix_capacities(spec: MultisetSpec) -> list[int]:
 
 def last_combination(spec: MultisetSpec) -> tuple[int, ...]:
     """Lexicographically largest combination (boxes filled left to right)."""
-    validate(spec)
     m, k = spec.m, spec.k
     prefix = list(accumulate(m))
     # Boxes left of j fill to capacity; box j takes the rest.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb
 
-from .core import MultisetSpec, OracleLimitError, validate
+from .core import MultisetSpec, OracleLimitError
 
 # Inclusion-exclusion visits 2^n subsets; past this n use count_dp.
 IE_SUBSET_LIMIT = 24
@@ -32,7 +32,6 @@ def count_inclusion_exclusion(spec: MultisetSpec) -> int:
     k' = k - sum over T of (m[i]+1); once k' goes negative no superset of
     T can contribute, so that branch is cut.
     """
-    validate(spec)
     n, m = spec.n, spec.m
     if n > IE_SUBSET_LIMIT:
         raise OracleLimitError(
@@ -56,7 +55,6 @@ def inclusion_exclusion_terms(spec: MultisetSpec) -> list[tuple[tuple[int, ...],
     Exposed for reporting: the empty-subset term is the closure count and
     the remaining terms are the alternating corrections.
     """
-    validate(spec)
     n, m = spec.n, spec.m
     if n > IE_SUBSET_LIMIT:
         raise OracleLimitError(f"term expansion limited to n <= {IE_SUBSET_LIMIT}")
@@ -83,7 +81,6 @@ def count_dp(spec: MultisetSpec) -> int:
     of length i summing to s; each step sums a window of width m[i]+1,
     read off prefix sums, so the table costs O(n*k) whatever m is.
     """
-    validate(spec)
     k = spec.k
     ways = [1] + [0] * k
     for mult in spec.m:

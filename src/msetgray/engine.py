@@ -78,7 +78,6 @@ from .core import (
     TransitionDelta,
     fill_from_right,
     suffix_capacities,
-    validate,
 )
 
 
@@ -101,7 +100,6 @@ class GrayEngine:
     """
 
     def __init__(self, spec: MultisetSpec):
-        validate(spec)
         self.spec = spec
         n = spec.n
         k = spec.k

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from .core import MultisetSpec, TransitionDelta, to_inplace, validate
+from .core import MultisetSpec, TransitionDelta, to_inplace
 from .engine import EngineError, GrayEngine
 
 
@@ -42,7 +42,6 @@ class ContainerState:
 def init_container(spec: MultisetSpec, a: Sequence[int]) -> ContainerState:
     """Build the container for a starting vector (sorted expansion) and
     populate the stacks left to right."""
-    validate(spec)
     cells = to_inplace(spec, a)
     container = [0] + list(cells)
     stacks: list[list[int]] = [[] for _ in range(spec.n + 1)]

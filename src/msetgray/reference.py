@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import MultisetSpec, OracleLimitError, suffix_capacities, validate
+from .core import MultisetSpec, OracleLimitError, suffix_capacities
 
 # Cap on product(m[i]+1) for the brute-force oracle.
 BRUTE_FORCE_LIMIT = 2_000_000
@@ -28,7 +28,6 @@ Vector = tuple[int, ...]
 
 def brute_force(spec: MultisetSpec, limit: int = BRUTE_FORCE_LIMIT) -> list[Vector]:
     """All valid vectors in lexicographic order, by exhaustive filtering."""
-    validate(spec)
     size = 1
     for mult in spec.m:
         size *= mult + 1
@@ -51,25 +50,7 @@ def lex_generate(spec: MultisetSpec) -> list[Vector]:
     the suffix cannot absorb, anything higher overdraws.  Emission happens
     at depth n+1, the empty-suffix base case.
     """
-    validate(spec)
-    n = spec.n
-    m = (0,) + spec.m  # 1-based view
-    b = suffix_capacities(spec)
-    a = [0] * (n + 1)
-    out: list[Vector] = []
-
-    def descend(i: int, rem: int) -> None:
-        if i > n:
-            out.append(tuple(a[1:]))
-            return
-        lower = max(rem - b[i + 1], 0)
-        upper = min(m[i], rem)
-        for v in range(lower, upper + 1):
-            a[i] = v
-            descend(i + 1, rem - v)
-
-    descend(1, spec.k)
-    return out
+    return _recursive_order(spec, flip=False)
 
 
 def gray_generate_recursive(spec: MultisetSpec) -> list[Vector]:
@@ -80,9 +61,14 @@ def gray_generate_recursive(spec: MultisetSpec) -> list[Vector]:
     opposite orders.  The first object is the lexicographically smallest
     (all directions start at +1).
     """
-    validate(spec)
+    return _recursive_order(spec, flip=True)
+
+
+def _recursive_order(spec: MultisetSpec, flip: bool) -> list[Vector]:
+    """The bounded recursion behind both orders: every level sweeps its
+    range in direction d[i], which flips after each call when ``flip``."""
     n = spec.n
-    m = (0,) + spec.m
+    m = (0,) + spec.m  # 1-based view
     b = suffix_capacities(spec)
     d = [1] * (n + 1)
     a = [0] * (n + 1)
@@ -101,7 +87,8 @@ def gray_generate_recursive(spec: MultisetSpec) -> list[Vector]:
         for v in values:
             a[i] = v
             descend(i + 1, rem - v)
-        d[i] = -d[i]
+        if flip:
+            d[i] = -d[i]
 
     descend(1, spec.k)
     return out

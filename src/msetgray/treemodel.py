@@ -31,7 +31,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator, Optional
 
-from .core import MultisetSpec, OracleLimitError, suffix_capacities, validate
+from .core import MultisetSpec, OracleLimitError, suffix_capacities
 
 TREE_NODE_LIMIT = 1_000_000
 DOT_NODE_LIMIT = 50_000
@@ -68,7 +68,6 @@ def build_lexico_tree(
     Grown depth-first from an explicit stack of (node, units left), so
     the depth is not bounded by the interpreter's recursion limit.
     """
-    validate(spec)
     n = spec.n
     m = (0,) + spec.m
     b = suffix_capacities(spec)
@@ -141,22 +140,27 @@ def twist(tree: LexTreeNode, mode: ParityMode) -> LexTreeNode:
 
 
 def leaf_sequence(tree: LexTreeNode) -> list[tuple[int, ...]]:
-    """Root-to-leaf label paths, leaves visited in child order."""
+    """Root-to-leaf label paths, leaves visited in child order.
+
+    Walked with an explicit stack of child iterators, one per node on the
+    current path, so the depth is not bounded by the recursion limit.
+    """
+    path = [] if tree.label is None else [tree.label]
+    if tree.is_leaf():
+        return [tuple(path)]
     out: list[tuple[int, ...]] = []
-    path: list[int] = []
-
-    def walk(node: LexTreeNode) -> None:
-        if node.label is not None:
-            path.append(node.label)
-        if node.is_leaf():
-            out.append(tuple(path))
+    stack = [iter(tree.children)]
+    while stack:
+        for child in stack[-1]:
+            if child.children:
+                path.append(child.label)
+                stack.append(iter(child.children))
+                break
+            out.append((*path, child.label))
         else:
-            for child in node.children:
-                walk(child)
-        if node.label is not None:
-            path.pop()
-
-    walk(tree)
+            stack.pop()
+            if path:
+                path.pop()
     return out
 
 

@@ -18,7 +18,6 @@ from .core import (
     first_combination,
     is_adjacent,
     to_inplace,
-    validate,
 )
 from .counting import count_dp, count_inclusion_exclusion
 from .engine import EngineError, GrayEngine
@@ -54,12 +53,16 @@ class SpecReport:
         return None
 
 
-def _adjacent_everywhere(seq: list[tuple[int, ...]]) -> Optional[int]:
-    """Index of the first non-adjacent consecutive pair, or None."""
-    for idx in range(len(seq) - 1):
-        if not is_adjacent(seq[idx], seq[idx + 1]):
-            return idx
-    return None
+def _order_checks(
+    seq: list[tuple[int, ...]], lex: list[tuple[int, ...]], permutation: str, adjacent: str
+) -> tuple[CheckResult, CheckResult]:
+    """Whether ``seq`` reorders ``lex``, and whether each of its steps is
+    adjacent (the detail names the first pair that is not)."""
+    bad = next((i for i in range(len(seq) - 1) if not is_adjacent(seq[i], seq[i + 1])), None)
+    return (
+        CheckResult(permutation, sorted(seq) == lex),
+        CheckResult(adjacent, bad is None, "" if bad is None else f"pair at index {bad}"),
+    )
 
 
 def run_spec_checks(spec: MultisetSpec) -> SpecReport:
@@ -69,9 +72,8 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
     itself, or from the prefix-sum check below, which names the spec, the
     step index, the level and both sums.
     """
-    validate(spec)
     report = SpecReport(spec=spec)
-    add = report.checks.append
+    add, extend = report.checks.append, report.checks.extend
 
     reference = brute_force(spec)
     lex = lex_generate(spec)
@@ -89,15 +91,7 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
     )
 
     recursive = gray_generate_recursive(spec)
-    add(CheckResult("recursive_is_permutation", sorted(recursive) == lex))
-    bad = _adjacent_everywhere(recursive)
-    add(
-        CheckResult(
-            "recursive_adjacent",
-            bad is None,
-            "" if bad is None else f"pair at index {bad}",
-        )
-    )
+    extend(_order_checks(recursive, lex, "recursive_is_permutation", "recursive_adjacent"))
 
     # Engine run with a synchronized container sweep.  Before each step
     # the engine's prefix sum at the level it evaluates must equal
@@ -109,6 +103,7 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
     container_ok = True
     one_cell_ok = True
     container_detail = ""
+    before = state.cells()
     while True:
         level = eng.i
         if level:
@@ -118,7 +113,6 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
                     f"m={spec.m} k={spec.k} step {deltas}: level {level} keeps "
                     f"sum[{level}]={kept}, but a[1]+...+a[{level - 1}]={actual}"
                 )
-        before = state.cells()
         delta = eng.advance()
         if delta is None:
             break
@@ -129,20 +123,13 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
         if sum(1 for x, y in zip(before, after) if x != y) != 1:
             one_cell_ok = False
             container_detail = f"step {deltas}: {before} -> {after}"
-        if tuple(sorted(after)) != to_inplace(spec, eng.current()):
+        if tuple(sorted(after)) != to_inplace(spec, engine_seq[-1]):
             container_ok = False
             container_detail = f"step {deltas}: sorted({after}) != in-place form"
+        before = after
 
     add(CheckResult("engine_first_is_smallest", engine_seq[0] == first_combination(spec)[0]))
-    add(CheckResult("engine_is_permutation", sorted(engine_seq) == lex))
-    bad = _adjacent_everywhere(engine_seq)
-    add(
-        CheckResult(
-            "engine_adjacent",
-            bad is None,
-            "" if bad is None else f"pair at index {bad}",
-        )
-    )
+    extend(_order_checks(engine_seq, lex, "engine_is_permutation", "engine_adjacent"))
     add(CheckResult("engine_delta_count", deltas == n_objects - 1, f"{deltas} deltas"))
     add(CheckResult("container_matches_vector", container_ok, container_detail))
     add(CheckResult("container_single_cell_steps", one_cell_ok, container_detail))
@@ -150,14 +137,8 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
     tree = build_lexico_tree(spec)
     add(CheckResult("tree_leaves_lexicographic", leaf_sequence(tree) == lex))
     skip_leaves = leaf_sequence(twist(tree, ParityMode.SKIP_SINGLE_CHILD))
-    add(CheckResult("twisted_leaves_permutation", sorted(skip_leaves) == lex))
-    bad = _adjacent_everywhere(skip_leaves)
-    add(
-        CheckResult(
-            "twisted_leaves_adjacent",
-            bad is None,
-            "" if bad is None else f"pair at index {bad}",
-        )
+    extend(
+        _order_checks(skip_leaves, lex, "twisted_leaves_permutation", "twisted_leaves_adjacent")
     )
 
     global_leaves = leaf_sequence(twist(tree, ParityMode.GLOBAL))

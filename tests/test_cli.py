@@ -421,6 +421,15 @@ class TestVerify:
         assert out == ""
         assert err.splitlines() == ["error: --trace needs a single spec"]
 
+    @pytest.mark.parametrize(
+        "flags", [["--k", "2"], ["--m", "2,2"], ["--uniform", "2", "--n", "3"]]
+    )
+    def test_random_with_spec_flags_exits_2(self, capsys, flags):
+        # --random draws its own specs; a spec flag would be ignored silently.
+        code, out, err = run_cli(capsys, "verify", "--random", "--count", "3", *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: --random draws its own specs: drop --m, --uniform, --n, --k\n"
+
     @pytest.mark.parametrize("bound", ["--max-n", "--max-m"])
     def test_random_empty_range_exits_2(self, capsys, bound):
         code, out, err = run_cli(capsys, "verify", "--random", "--count", "2", bound, "0")
@@ -512,6 +521,12 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", "--n-list", "3,0")
         assert (code, out) == (2, "")
         assert err == "error: need at least one component (n >= 1)\n"
+
+    def test_grid_with_n_exits_2(self, capsys):
+        # Without --uniform the grid runs and would ignore --n silently.
+        code, out, err = run_cli(capsys, "bench", "--n", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: --n needs --uniform: the grid takes n from --n-list\n"
 
     @pytest.mark.parametrize("steps", ["0", "-1"])
     def test_no_steps_exits_2(self, capsys, steps):

@@ -57,6 +57,29 @@ class TestValidate:
         with pytest.raises(InvalidSpecError, match=where):
             validate(MultisetSpec(m=m, k=k))
 
+    @pytest.mark.parametrize(
+        "m, k, message",
+        [
+            ((2, 2), 5, "k=5 out of range 0..4 for m=(2, 2)"),
+            ((2, 2), -1, "k=-1 out of range 0..4 for m=(2, 2)"),
+            ((1, 0, 2), 1, "multiplicity m[2] must be >= 1, got 0"),
+            ((), 0, "need at least one component (n >= 1)"),
+            ((1.5, 2), 1, "multiplicity m[1] must be an int, got 1.5"),
+            ((True, 2), 1, "multiplicity m[1] must be an int, got True"),
+            (("2", 2), 1, "multiplicity m[1] must be an int, got '2'"),
+            ((2, 2.0), 1, "multiplicity m[2] must be an int, got 2.0"),
+            ((1, 2), 1.0, "k must be an int, got 1.0"),
+            ((1, 2), True, "k must be an int, got True"),
+            (5, 1, "m must be a sequence of ints, got 5"),
+            (None, 1, "m must be a sequence of ints, got None"),
+        ],
+    )
+    def test_construction_rejects_invalid_spec(self, m, k, message):
+        # A spec is validated when it is built: no invalid one exists.
+        with pytest.raises(InvalidSpecError) as info:
+            MultisetSpec(m=m, k=k)
+        assert str(info.value) == message
+
     def test_spec_coerces_to_tuple(self):
         spec = MultisetSpec(m=[1, 2], k=1)
         assert spec.m == (1, 2)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -45,6 +46,12 @@ class TestBuild:
         for _ in range(100):
             spec = random_spec(rng)
             assert leaf_sequence(build_lexico_tree(spec)) == lex_generate(spec), spec
+
+    def test_path_deeper_than_recursion_limit(self):
+        # One object, a path of 1,101 nodes.
+        assert sys.getrecursionlimit() < 1101
+        tree = build_lexico_tree(MultisetSpec(m=(1,) * 1100, k=0))
+        assert leaf_sequence(tree) == [(0,) * 1100]
 
     def test_node_limit(self):
         with pytest.raises(OracleLimitError, match="nodes"):
