@@ -178,16 +178,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.random and args.trace:
         print("error: --trace needs a single spec", file=sys.stderr)
         return 2
+    batch = (args.count, args.max_n, args.max_m, args.seed)
     if args.random:
         if (args.m, args.uniform, args.n, args.k) != (None,) * 4:
             raise InvalidSpecError("--random draws its own specs: drop --m, --uniform, --n, --k")
-        if min(args.max_n, args.max_m) < 1:
+        count, max_n, max_m, seed = (d if v is None else v for v, d in zip(batch, (100, 6, 4, 0)))
+        if min(max_n, max_m) < 1:
             raise InvalidSpecError("--max-n and --max-m must be >= 1")
-        if args.count < 1:
+        if count < 1:
             raise InvalidSpecError("--count must be >= 1")
-        specs = list(
-            iter_random_specs(args.count, args.max_n, args.max_m, args.seed)
-        )
+        specs = list(iter_random_specs(count, max_n, max_m, seed))
+    elif batch != (None,) * 4:
+        raise InvalidSpecError("--count, --max-n, --max-m and --seed need --random")
     else:
         specs = [_spec_from_args(args)]
 
@@ -256,21 +258,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.max_steps < 1:
         raise InvalidSpecError("--max-steps must be >= 1")
     rows: list[tuple[MultisetSpec, str]] = []
+    grid = (args.n_list, args.uniform_m, args.k_ratio)
     if args.m is not None or args.uniform is not None:
+        if grid != (None,) * 3:
+            raise InvalidSpecError("--n-list, --uniform-m and --k-ratio need the grid")
         spec = _spec_from_args(args)
         rows.append((spec, f"n={spec.n}"))
     else:
         if args.n is not None:
             raise InvalidSpecError("--n needs --uniform: the grid takes n from --n-list")
+        defaults = ("10,100,1000", 3, 0.5)
+        n_list, uniform_m, k_ratio = (d if v is None else v for v, d in zip(grid, defaults))
         try:
-            n_values = [int(v) for v in args.n_list.split(",")]
+            n_values = [int(v) for v in n_list.split(",")]
         except ValueError as exc:
-            raise InvalidSpecError(f"bad --n-list value {args.n_list!r}") from exc
-        if not 0 <= args.k_ratio <= 1:  # also rejects nan
+            raise InvalidSpecError(f"bad --n-list value {n_list!r}") from exc
+        if not 0 <= k_ratio <= 1:  # also rejects nan
             raise InvalidSpecError("--k-ratio must be within [0, 1]")
         for n in n_values:
-            m = (args.uniform_m,) * n
-            k = args.k if args.k is not None else int(sum(m) * args.k_ratio)
+            m = (uniform_m,) * n
+            k = args.k if args.k is not None else int(sum(m) * k_ratio)
             rows.append((MultisetSpec(m=m, k=k), f"n={n}"))  # validated before the header
 
     print(
@@ -317,10 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the cross-oracle check suite")
     _add_spec_args(p_verify)
     p_verify.add_argument("--random", action="store_true", help="randomized batch")
-    p_verify.add_argument("--count", type=int, default=100, help="batch size")
-    p_verify.add_argument("--max-n", type=int, default=6)
-    p_verify.add_argument("--max-m", type=int, default=4)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--count", type=int, help="batch size (default 100)")
+    p_verify.add_argument("--max-n", type=int, help="default 6")
+    p_verify.add_argument("--max-m", type=int, help="default 4")
+    p_verify.add_argument("--seed", type=int, help="default 0")
     p_verify.add_argument(
         "--trace", action="store_true", help="stream per-step trace records (single spec)"
     )
@@ -339,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="construction time, throughput and slowest single step"
     )
     _add_spec_args(p_bench)
-    p_bench.add_argument("--n-list", default="10,100,1000")
-    p_bench.add_argument("--uniform-m", type=int, default=3)
-    p_bench.add_argument("--k-ratio", type=float, default=0.5)
+    p_bench.add_argument("--n-list", help="default 10,100,1000")
+    p_bench.add_argument("--uniform-m", type=int, help="default 3")
+    p_bench.add_argument("--k-ratio", type=float, help="default 0.5")
     p_bench.add_argument("--max-steps", type=int, default=100_000)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate, islice
-from operator import neg
+from operator import neg, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -187,8 +187,8 @@ def is_adjacent(x: Sequence[int], y: Sequence[int]) -> bool:
     """True iff the vectors differ at exactly two positions, by +1 and -1."""
     if len(x) != len(y):
         raise ValueError(f"vector lengths differ: {len(x)} vs {len(y)}")
-    diffs = [b - a for a, b in zip(x, y) if a != b]
-    return len(diffs) == 2 and sorted(diffs) == [-1, 1]
+    diffs = list(filter(None, map(sub, y, x)))  # the nonzero y[i] - x[i], in order
+    return len(diffs) == 2 and diffs[0] + diffs[1] == 0 and diffs[0] in (1, -1)
 
 
 def to_inplace(spec: MultisetSpec, a: Sequence[int]) -> tuple[int, ...]:

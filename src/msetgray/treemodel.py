@@ -72,7 +72,7 @@ def build_lexico_tree(
     m = (0,) + spec.m
     b = suffix_capacities(spec)
 
-    root = LexTreeNode(label=None, level=0)
+    root = LexTreeNode(None, 0)
     stack = [(root, spec.k)]
     count = 0
     while stack:
@@ -84,58 +84,47 @@ def build_lexico_tree(
         if i > n:
             continue
         for v in range(max(rem - b[i + 1], 0), min(m[i], rem) + 1):
-            child = LexTreeNode(label=v, level=i)
+            child = LexTreeNode(v, i)
             node.children.append(child)
             stack.append((child, rem - v))
     return root
 
 
-def _copy(tree: LexTreeNode) -> LexTreeNode:
-    root = LexTreeNode(label=tree.label, level=tree.level, parity=tree.parity)
-    stack = [(tree, root)]
-    while stack:
-        node, twin = stack.pop()
-        for c in node.children:
-            copy = LexTreeNode(label=c.label, level=c.level, parity=c.parity)
-            twin.children.append(copy)
-            stack.append((c, copy))
-    return root
-
-
-def _assign_parities(nodes: list[LexTreeNode], mode: ParityMode) -> None:
-    """Alternate even/odd across one level, left to right."""
-    parity = 0  # 0 = even, 1 = odd
-    for idx, node in enumerate(nodes):
-        if mode is ParityMode.GLOBAL:
-            node.parity = EVEN if parity == 0 else ODD
-            parity ^= 1
-        elif len(node.children) > 1:
-            node.parity = EVEN if parity == 0 else ODD
-            parity ^= 1
-        else:
-            node.parity = None
-            if idx == 0:
-                # Leftmost (first-path) node counts as even even when it
-                # carries no parity of its own.
-                parity ^= 1
-
-
 def twist(tree: LexTreeNode, mode: ParityMode) -> LexTreeNode:
     """New tree with odd-parity child lists reversed, parities recorded.
 
-    Levels are processed top-down: reversals at level L are applied before
-    parities are assigned to level L+1 (in post-reversal order).
+    One top-down pass, level by level.  A level is held as its originals
+    and their copies, in post-reversal order; parities alternate across
+    it, judged from the original's child count, and an odd node's
+    children join the next level in reverse order.  Each level's copies
+    are made in one list and sliced out to their parents.
     """
-    root = _copy(tree)
-    level_nodes = [root]
-    _assign_parities(level_nodes, mode)
-    while level_nodes:
-        for node in level_nodes:
-            if node.parity == ODD:
-                node.children.reverse()
-        level_nodes = [c for node in level_nodes for c in node.children]
-        if level_nodes:
-            _assign_parities(level_nodes, mode)
+    skip = mode is ParityMode.SKIP_SINGLE_CHILD
+    root = LexTreeNode(tree.label, tree.level)
+    nodes, twins = [tree], [root]
+    while nodes:
+        lead = twins[0]
+        below: list[LexTreeNode] = []  # the next level's originals
+        parents: list[tuple[LexTreeNode, int, int]] = []  # (copy, its slice of below)
+        odd = False
+        for node, twin in zip(nodes, twins):
+            kids = node.children
+            if skip and len(kids) < 2:
+                # No parity; the leftmost node still counts as even.
+                if twin is lead:
+                    odd = True
+            else:
+                twin.parity = ODD if odd else EVEN
+                if odd:
+                    kids = kids[::-1]
+                odd = not odd
+            if kids:
+                parents.append((twin, len(below), len(below) + len(kids)))
+                below += kids
+        copies = [LexTreeNode(c.label, c.level) for c in below]
+        for twin, start, end in parents:
+            twin.children = copies[start:end]
+        nodes, twins = below, copies
     return root
 
 

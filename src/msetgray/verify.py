@@ -11,6 +11,8 @@ reported but do not gate.
 from __future__ import annotations
 
 import random
+from itertools import islice
+from operator import ne
 from typing import Iterator, Optional
 
 from .core import (
@@ -58,7 +60,8 @@ def _order_checks(
 ) -> tuple[CheckResult, CheckResult]:
     """Whether ``seq`` reorders ``lex``, and whether each of its steps is
     adjacent (the detail names the first pair that is not)."""
-    bad = next((i for i in range(len(seq) - 1) if not is_adjacent(seq[i], seq[i + 1])), None)
+    steps = list(map(is_adjacent, seq, islice(seq, 1, None)))
+    bad = steps.index(False) if False in steps else None
     return (
         CheckResult(permutation, sorted(seq) == lex),
         CheckResult(adjacent, bad is None, "" if bad is None else f"pair at index {bad}"),
@@ -120,7 +123,7 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
         apply_move(state, delta)
         after = state.cells()
         engine_seq.append(eng.current())
-        if sum(1 for x, y in zip(before, after) if x != y) != 1:
+        if sum(map(ne, before, after)) != 1:
             one_cell_ok = False
             container_detail = f"step {deltas}: {before} -> {after}"
         if tuple(sorted(after)) != to_inplace(spec, engine_seq[-1]):

@@ -430,6 +430,17 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: --random draws its own specs: drop --m, --uniform, --n, --k\n"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--count", "5", "--max-n", "9", "--seed", "3"], ["--max-m", "2"], ["--seed", "0"]],
+    )
+    def test_single_spec_with_batch_flags_exits_2(self, capsys, flags):
+        # A single spec would ignore the batch flags silently, even when one
+        # repeats its default.
+        code, out, err = run_cli(capsys, "verify", "--m", "2,2", "--k", "2", *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: --count, --max-n, --max-m and --seed need --random\n"
+
     @pytest.mark.parametrize("bound", ["--max-n", "--max-m"])
     def test_random_empty_range_exits_2(self, capsys, bound):
         code, out, err = run_cli(capsys, "verify", "--random", "--count", "2", bound, "0")
@@ -527,6 +538,23 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", "--n", "5")
         assert (code, out) == (2, "")
         assert err == "error: --n needs --uniform: the grid takes n from --n-list\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--n-list", "5,6", "--k-ratio", "0.9"], ["--uniform-m", "3"], ["--k-ratio", "0.5"]],
+    )
+    def test_single_spec_with_grid_flags_exits_2(self, capsys, flags):
+        # A single spec would ignore the grid flags silently, even when one
+        # repeats its default.
+        code, out, err = run_cli(capsys, "bench", "--m", "2,2", "--k", "2", *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: --n-list, --uniform-m and --k-ratio need the grid\n"
+
+    def test_grid_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, "bench", "--max-steps", "5")
+        assert code == 0
+        rows = [line.split()[:2] for line in out.splitlines()[1:]]
+        assert rows == [["n=10", "15"], ["n=100", "150"], ["n=1000", "1500"]]
 
     @pytest.mark.parametrize("steps", ["0", "-1"])
     def test_no_steps_exits_2(self, capsys, steps):

@@ -164,6 +164,23 @@ class TestIsAdjacent:
     def test_two_positions_wrong_magnitude(self):
         assert not is_adjacent((2, 0), (0, 2))
 
+    @pytest.mark.parametrize(
+        "y, diffs",
+        [((3, 3, 2), "+1 +1"), ((1, 1, 2), "-1 -1"), ((3, 0, 2), "+1 -2"), ((4, 0, 2), "+2 -2")],
+    )
+    def test_two_positions_wrong_diffs_rejected(self, y, diffs):
+        assert not is_adjacent((2, 2, 2), y), diffs
+        assert not is_adjacent(y, (2, 2, 2)), diffs  # the diffs negated
+
+    @pytest.mark.parametrize("y", [(3, 1, 3), (1, 3, 1), (3, 1, 1), (3, 0, 3)])
+    def test_three_positions_rejected(self, y):
+        assert not is_adjacent((2, 2, 2), y)
+
+    @pytest.mark.parametrize("x, y", [((2, 2), (3, 1)), ((2, 2), (1, 3))])
+    def test_unit_swap_accepted_either_way(self, x, y):
+        assert is_adjacent(x, y)
+        assert is_adjacent(y, x)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths differ"):
             is_adjacent((1, 0), (1, 0, 0))

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -16,7 +17,7 @@ from msetgray import (
     lex_generate,
     twist,
 )
-from msetgray.treemodel import ODD, iter_nodes
+from msetgray.treemodel import EVEN, ODD, LexTreeNode, iter_nodes
 
 from example_data import EXAMPLE_SPEC
 
@@ -25,6 +26,50 @@ def random_spec(rng, max_n=6, max_m=4):
     n = rng.randint(1, max_n)
     m = tuple(rng.randint(1, max_m) for _ in range(n))
     return MultisetSpec(m=m, k=rng.randint(0, sum(m)))
+
+
+def copy_then_reverse(tree, mode):
+    """Reference twist: copy the whole tree, then, level by level from the
+    top, assign parities across the level (in post-reversal order) and
+    reverse the children of its odd nodes."""
+    root = LexTreeNode(tree.label, tree.level, tree.parity)
+    stack = [(tree, root)]
+    while stack:
+        node, twin = stack.pop()
+        for child in node.children:
+            twin.children.append(LexTreeNode(child.label, child.level, child.parity))
+            stack.append((child, twin.children[-1]))
+    level = [root]
+    while level:
+        parity = 0
+        for idx, node in enumerate(level):
+            if mode is ParityMode.GLOBAL or len(node.children) > 1:
+                node.parity = (EVEN, ODD)[parity]
+                parity ^= 1
+            else:
+                node.parity = None
+                if idx == 0:  # the leftmost node counts as even
+                    parity ^= 1
+        for node in level:
+            if node.parity == ODD:
+                node.children.reverse()
+        level = [c for node in level for c in node.children]
+    return root
+
+
+def shape(tree):
+    """Every node's label, level, parity and child order, in preorder."""
+    return [
+        (node.label, node.level, node.parity, [c.label for c in node.children])
+        for node in iter_nodes(tree)
+    ]
+
+
+def small_specs(max_n=4):
+    for n in range(1, max_n + 1):
+        for m in itertools.product((1, 2, 3), repeat=n):
+            for k in range(sum(m) + 1):
+                yield MultisetSpec(m=m, k=k)
 
 
 class TestBuild:
@@ -133,6 +178,50 @@ class TestTwist:
         twisted = twist(build_lexico_tree(EXAMPLE_SPEC), ParityMode.GLOBAL)
         for node in iter_nodes(twisted):
             assert node.parity in ("even", "odd")
+
+
+class TestTwistExhaustive:
+    """twist against the copy-then-reverse definition on every
+    m in {1,2,3}^n, n <= 4, every k, for both modes."""
+
+    @staticmethod
+    def check(tree, mode):
+        before = shape(tree)
+        out = twist(tree, mode)
+        assert shape(out) == shape(copy_then_reverse(tree, mode))
+        assert shape(tree) == before  # parities included
+        inputs = {id(node.children) for node in iter_nodes(tree)}
+        outputs = [id(node.children) for node in iter_nodes(out)]
+        assert len(set(outputs)) == len(outputs)  # each node its own list
+        assert not inputs.intersection(outputs)
+        return out
+
+    @pytest.mark.parametrize("mode", list(ParityMode))
+    def test_lexico_tree(self, mode):
+        for spec in small_specs():
+            self.check(build_lexico_tree(spec), mode)
+
+    @pytest.mark.parametrize("mode", list(ParityMode))
+    def test_already_twisted_tree(self, mode):
+        # The input carries parities of its own, from either mode.
+        for spec in small_specs():
+            for first in ParityMode:
+                self.check(twist(build_lexico_tree(spec), first), mode)
+
+    @pytest.mark.parametrize("mode", list(ParityMode))
+    def test_subtrees(self, mode):
+        for spec in small_specs():
+            tree = build_lexico_tree(spec)
+            twisted = twist(tree, ParityMode.SKIP_SINGLE_CHILD)
+            for sub in tree.children + twisted.children:
+                self.check(sub, mode)
+                for grandchild in sub.children:
+                    self.check(grandchild, mode)
+
+    def test_childless_root(self):
+        for mode in ParityMode:
+            out = self.check(LexTreeNode(None, 0), mode)
+            assert out.parity == (EVEN if mode is ParityMode.GLOBAL else None)
 
 
 class TestExportDot:

@@ -1,6 +1,6 @@
 import pytest
 
-from msetgray import EngineError, GrayEngine, MultisetSpec, run_spec_checks
+from msetgray import EngineError, GrayEngine, MultisetSpec, generate, run_spec_checks
 from msetgray.verify import iter_random_specs, random_spec
 
 from example_data import EXAMPLE_SPEC
@@ -65,3 +65,35 @@ def test_prefix_sum_check_raises_engine_error(monkeypatch):
     assert str(info.value) == (
         "m=(1, 2, 2, 1, 1) k=4 step 0: level 2 keeps sum[2]=1, but a[1]+...+a[1]=0"
     )
+
+
+@pytest.mark.parametrize("swaps, first_bad", [((7,), 8), ((2, 7), 3)])
+def test_engine_order_fault_names_first_bad_pair(monkeypatch, swaps, first_bad):
+    # An engine that emits objects j and j+1 in swapped order, for each j
+    # in swaps.  Swapping 7 and 8 of the worked example leaves pair 7
+    # adjacent and breaks pair 8; swapping 2 and 3 as well breaks pair 3.
+    class Swapped:
+        i = 0  # level 0: the prefix-sum check has nothing to compare
+
+        def __init__(self, spec):
+            self.objects = generate(spec)
+            for j in swaps:
+                self.objects[j], self.objects[j + 1] = self.objects[j + 1], self.objects[j]
+            self.deltas = iter(GrayEngine(spec).advance, None)
+            self.step = 0
+
+        def current(self):
+            return self.objects[self.step]
+
+        def advance(self):
+            delta = next(self.deltas, None)
+            if delta is not None:
+                self.step += 1
+            return delta
+
+    monkeypatch.setattr("msetgray.verify.GrayEngine", Swapped)
+    report = run_spec_checks(EXAMPLE_SPEC)
+    checks = {c.name: c for c in report.checks}
+    assert checks["engine_is_permutation"].passed
+    adjacent = checks["engine_adjacent"]
+    assert (adjacent.passed, adjacent.detail) == (False, f"pair at index {first_bad}")
