@@ -199,6 +199,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             report = run_spec_checks(spec)
         except EngineError as exc:
             failure = CheckResult("engine_runs", False, str(exc))
+        except OracleLimitError as exc:
+            raise OracleLimitError(f"m={spec.m} k={spec.k}: {exc}") from None
         else:
             failure = report.first_failure()
         if failure is not None:

@@ -10,8 +10,10 @@ These are the oracles the fast iterative engine is validated against:
                      direction flag flips after every call), which turns
                      the output into an adjacent sequence.
 
-The recursive generators deliberately pay the O(n) call overhead per
-object; they exist for clarity, not speed.
+The recursive generators pay one Python call per tree node above the
+last level, so O(n) calls per object in the worst case; they exist for
+clarity, not speed.  The last level's window is the single value rem,
+so it is written in place rather than reached by one more call.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ def lex_generate(spec: MultisetSpec) -> list[Vector]:
 
     At level i with rem units left to place, a[i] ranges over
     max(rem - b[i+1], 0) .. min(m[i], rem): anything lower strands units
-    the suffix cannot absorb, anything higher overdraws.  Emission happens
-    at depth n+1, the empty-suffix base case.
+    the suffix cannot absorb, anything higher overdraws.  At level n the
+    range is the single value rem (b[n+1] = 0), so a[n] = rem is written
+    and the object emitted there.
     """
     return _recursive_order(spec, flip=False)
 
@@ -75,7 +78,8 @@ def _recursive_order(spec: MultisetSpec, flip: bool) -> list[Vector]:
     out: list[Vector] = []
 
     def descend(i: int, rem: int) -> None:
-        if i > n:
+        if i == n:  # the window is rem alone: b[n+1] = 0, rem <= m[n]
+            a[n] = rem
             out.append(tuple(a[1:]))
             return
         lower = max(rem - b[i + 1], 0)

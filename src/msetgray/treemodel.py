@@ -29,6 +29,7 @@ never materializes them.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import accumulate
 from typing import Iterator, Optional
 
 from .core import MultisetSpec, OracleLimitError, suffix_capacities
@@ -65,28 +66,29 @@ def build_lexico_tree(
 ) -> LexTreeNode:
     """Trie of all count vectors, children ascending by label.
 
-    Grown depth-first from an explicit stack of (node, units left), so
-    the depth is not bounded by the interpreter's recursion limit.
+    Built level by level, top-down, so the depth is not bounded by the
+    interpreter's recursion limit.  A node's window of values depends only
+    on its level and the units it leaves, so each level computes it once
+    per distinct remainder (``max`` and ``min`` are slow calls).  The
+    level's nodes are counted against ``node_limit`` before they are made,
+    all in one list, and sliced out to their parents.
     """
-    n = spec.n
-    m = (0,) + spec.m
-    b = suffix_capacities(spec)
-
     root = LexTreeNode(None, 0)
-    stack = [(root, spec.k)]
-    count = 0
-    while stack:
-        node, rem = stack.pop()
-        count += 1
-        if count > node_limit:
+    b = suffix_capacities(spec)
+    nodes, rems, total = [root], [spec.k], 1
+    for i, mult in enumerate(spec.m, 1):
+        floor = b[i + 1]
+        window = {r: range(max(r - floor, 0), min(mult, r) + 1) for r in set(rems)}
+        windows = [window[r] for r in rems]
+        ends = list(accumulate(map(len, windows)))
+        total += ends[-1]
+        if total > node_limit:
             raise OracleLimitError(f"tree exceeds {node_limit} nodes")
-        i = node.level + 1
-        if i > n:
-            continue
-        for v in range(max(rem - b[i + 1], 0), min(m[i], rem) + 1):
-            child = LexTreeNode(v, i)
-            node.children.append(child)
-            stack.append((child, rem - v))
+        kids = [LexTreeNode(v, i) for w in windows for v in w]
+        for node, start, end in zip(nodes, [0, *ends], ends):
+            node.children = kids[start:end]
+        rems = [r - v for r, w in zip(rems, windows) for v in w]
+        nodes = kids
     return root
 
 

@@ -467,6 +467,16 @@ class TestVerify:
         ]
         assert "verified" not in out
 
+    def test_oracle_limit_names_the_spec(self, capsys):
+        # The first random spec has n = 28, far past brute force's cap.
+        argv = ("verify", "--random", "--count", "2", "--max-n", "30", "--max-m", "3")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: m=(2, 2, 1, 2, 3, 2, 2, 2, 2, 2, 3, 1, 3, 1, 2, 1, 1, 3, 2, 3, 3, 3, 1, 2, "
+            "1, 3, 1, 3) k=21: brute force would scan > 2000000 candidate vectors\n"
+        )
+
 
 class TestTree:
     def test_twisted_dot(self, capsys):

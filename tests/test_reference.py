@@ -6,11 +6,15 @@ import pytest
 from msetgray import (
     MultisetSpec,
     OracleLimitError,
+    ParityMode,
     brute_force,
+    build_lexico_tree,
     count_inclusion_exclusion,
     gray_generate_recursive,
     is_adjacent,
+    leaf_sequence,
     lex_generate,
+    twist,
 )
 
 from example_data import EXAMPLE_SPEC, LEX_TABLE, RECURSIVE_SEQUENCE
@@ -98,3 +102,19 @@ def test_every_emitted_vector_is_valid():
     spec = MultisetSpec(m=(3, 1, 2, 2), k=4)
     for vec in gray_generate_recursive(spec):
         validate_vector(spec, vec)
+
+
+def small_specs(max_n=4):
+    for n in range(1, max_n + 1):
+        for m in itertools.product((1, 2, 3), repeat=n):
+            for k in range(sum(m) + 1):
+                yield MultisetSpec(m=m, k=k)
+
+
+def test_both_orders_exhaustive():
+    # Every m in {1,2,3}^n, n <= 4, every k: n = 1, k = 0 and k = sum(m)
+    # reach the last level straight from the first call.
+    for spec in small_specs():
+        assert lex_generate(spec) == brute_force(spec), spec
+        tree = twist(build_lexico_tree(spec), ParityMode.GLOBAL)
+        assert gray_generate_recursive(spec) == leaf_sequence(tree), spec

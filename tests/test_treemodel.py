@@ -72,6 +72,22 @@ def small_specs(max_n=4):
                 yield MultisetSpec(m=m, k=k)
 
 
+def level_sizes(spec):
+    """Nodes per tree level, root first: the feasible prefixes of each
+    length, counted by prefix sum."""
+    sizes, ways = [1], {0: 1}
+    for i, mult in enumerate(spec.m):
+        room = sum(spec.m[i + 1 :])
+        grown = {}
+        for s, c in ways.items():
+            for v in range(mult + 1):
+                if 0 <= spec.k - s - v <= room:
+                    grown[s + v] = grown.get(s + v, 0) + c
+        sizes.append(sum(grown.values()))
+        ways = grown
+    return sizes
+
+
 class TestBuild:
     def test_worked_example_leaf_count(self):
         tree = build_lexico_tree(EXAMPLE_SPEC)
@@ -101,6 +117,41 @@ class TestBuild:
     def test_node_limit(self):
         with pytest.raises(OracleLimitError, match="nodes"):
             build_lexico_tree(MultisetSpec(m=(4,) * 10, k=20), node_limit=500)
+
+    @pytest.mark.parametrize(
+        "m, k", [((3,), 2), ((2, 2, 2), 0), ((4,) * 5, 10), ((1, 3, 2, 3), 4)]
+    )
+    def test_node_limit_boundary(self, m, k):
+        spec = MultisetSpec(m=m, k=k)
+        total = sum(level_sizes(spec))
+        tree = build_lexico_tree(spec, node_limit=total)
+        assert sum(1 for _ in iter_nodes(tree)) == total
+        with pytest.raises(OracleLimitError, match=f"^tree exceeds {total - 1} nodes$"):
+            build_lexico_tree(spec, node_limit=total - 1)
+
+    @pytest.mark.parametrize("level", [0, 1, 5, 6])
+    def test_node_limit_counts_whole_levels(self, level, monkeypatch):
+        # (4,)^10 k=20 has 2,092,023 nodes.  With room for levels
+        # 0..level and less than the next level, exactly those are made.
+        spec = MultisetSpec(m=(4,) * 10, k=20)
+        sizes = level_sizes(spec)
+        made = 0
+
+        class Counted(LexTreeNode):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                nonlocal made
+                made += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr("msetgray.treemodel.LexTreeNode", Counted)
+        fits = sum(sizes[: level + 1])
+        for limit in (fits, fits + sizes[level + 1] - 1):
+            made = 0
+            with pytest.raises(OracleLimitError, match=f"^tree exceeds {limit} nodes$"):
+                build_lexico_tree(spec, node_limit=limit)
+            assert made == fits
 
     def test_path_sums_equal_k(self):
         tree = build_lexico_tree(MultisetSpec(m=(3, 1, 2), k=3))

@@ -97,3 +97,88 @@ def test_engine_order_fault_names_first_bad_pair(monkeypatch, swaps, first_bad):
     assert checks["engine_is_permutation"].passed
     adjacent = checks["engine_adjacent"]
     assert (adjacent.passed, adjacent.detail) == (False, f"pair at index {first_bad}")
+
+
+def damaging_apply_move(monkeypatch, damage):
+    """Patch verify's apply_move to run the real move, then damage[step]
+    (state, dest, source, pos) at the chosen 1-based steps.  Returns the
+    log of each step's container cells, (before, after)."""
+    from msetgray.inplace import apply_move
+
+    log = []
+
+    def move(state, delta):
+        before = state.cells()
+        moved = apply_move(state, delta)
+        if len(log) + 1 in damage:
+            damage[len(log) + 1](state, *moved)
+        log.append((before, state.cells()))
+        return moved
+
+    monkeypatch.setattr("msetgray.verify.apply_move", move)
+    return log
+
+
+def rewrite_second_cell(state, dest, source, pos):
+    # dest lands in another cell q and q's value in pos: two cells change,
+    # the multiset is the true one, and the stacks follow both cells.
+    cells, stacks = state.container, state.stacks
+    q = next(q for q in range(1, len(cells)) if cells[q] not in (source, dest))
+    other = cells[q]
+    cells[pos], cells[q] = other, dest
+    stacks[dest][stacks[dest].index(pos)] = q
+    stacks[other][stacks[other].index(q)] = pos
+
+
+def write_wrong_component(state, dest, source, pos):
+    # One cell changes, but to a component the step did not name.
+    state.container[pos] = next(c for c in range(1, len(state.stacks)) if c not in (source, dest))
+
+
+def overwrite_second_cell(state, dest, source, pos):
+    # The move, plus another cell rewritten to another value: both checks fail.
+    q = 1 if pos != 1 else 2
+    state.container[q] = 1 + state.container[q] % (len(state.stacks) - 1)
+
+
+LAST_STEP = 17  # the worked example has 18 objects
+
+
+def container_checks(report):
+    checks = {c.name: c for c in report.checks}
+    return checks["container_matches_vector"], checks["container_single_cell_steps"]
+
+
+def test_container_check_names_last_rewritten_second_cell(monkeypatch):
+    log = damaging_apply_move(monkeypatch, {3: rewrite_second_cell, 9: rewrite_second_cell})
+    matches, single = container_checks(run_spec_checks(EXAMPLE_SPEC))
+    before, after = log[9 - 1]
+    assert matches.passed
+    assert (single.passed, single.detail) == (False, f"step 9: {before} -> {after}")
+    assert matches.detail == single.detail  # the detail is shared
+
+
+def test_container_check_names_wrong_component(monkeypatch):
+    log = damaging_apply_move(monkeypatch, {LAST_STEP: write_wrong_component})
+    matches, single = container_checks(run_spec_checks(EXAMPLE_SPEC))
+    after = log[LAST_STEP - 1][1]
+    assert single.passed
+    assert (matches.passed, matches.detail) == (
+        False, f"step {LAST_STEP}: sorted({after}) != in-place form"
+    )
+    assert single.detail == matches.detail
+
+
+def test_container_check_in_place_message_wins_on_a_double_failure(monkeypatch):
+    # Step 3 fails only the single-cell check; the last step fails both,
+    # and its in-place message is the one kept.
+    log = damaging_apply_move(
+        monkeypatch, {3: rewrite_second_cell, LAST_STEP: overwrite_second_cell}
+    )
+    report = run_spec_checks(EXAMPLE_SPEC)
+    matches, single = container_checks(report)
+    after = log[LAST_STEP - 1][1]
+    detail = f"step {LAST_STEP}: sorted({after}) != in-place form"
+    assert (matches.passed, matches.detail) == (False, detail)
+    assert (single.passed, single.detail) == (False, detail)
+    assert report.first_failure() is matches
