@@ -10,8 +10,8 @@ import argparse
 import os
 import sys
 import time
+from collections.abc import Iterator, Sequence
 from itertools import count, islice, pairwise, repeat, starmap
-from typing import Iterator, Optional, Sequence
 
 from .core import (
     InvalidSpecError,
@@ -129,11 +129,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    if args.method == "ie":
-        print(count_inclusion_exclusion(spec))
-        return 0
-    if args.method == "dp":
-        print(count_dp(spec))
+    if args.method == "ie" and spec.n > IE_SUBSET_LIMIT:
+        raise OracleLimitError(
+            f"inclusion-exclusion over 2^{spec.n} subsets exceeds limit "
+            f"(n <= {IE_SUBSET_LIMIT}); use --method dp"
+        )
+    if args.method != "both":
+        print(count_dp(spec) if args.method == "dp" else count_inclusion_exclusion(spec))
         return 0
     if spec.n > IE_SUBSET_LIMIT:
         print(
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -19,9 +19,10 @@ All types here are immutable values and safe to share between threads.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import accumulate, islice
 from operator import neg, sub
-from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class InvalidSpecError(ValueError):
@@ -84,11 +85,8 @@ class MultisetSpec:
         return sum(self.m)
 
 
-class TransitionDelta(NamedTuple):
-    """One adjacent step: position ``inc`` gains one unit, ``dec`` loses one."""
-
-    inc: int
-    dec: int
+TransitionDelta = namedtuple("TransitionDelta", "inc dec")
+TransitionDelta.__doc__ = "One adjacent step: position ``inc`` gains one unit, ``dec`` loses one."
 
 
 def validate(spec: MultisetSpec) -> None:
@@ -207,7 +205,7 @@ def to_inplace(spec: MultisetSpec, a: Sequence[int]) -> tuple[int, ...]:
 def apply_delta(
     a: Sequence[int],
     delta: TransitionDelta,
-    spec: Optional[MultisetSpec] = None,
+    spec: MultisetSpec | None = None,
 ) -> tuple[int, ...]:
     """Apply one adjacent step, returning a new vector.
 

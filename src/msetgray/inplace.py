@@ -17,7 +17,7 @@ O(1) work per step.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator, Sequence
 
 from .core import MultisetSpec, TransitionDelta, to_inplace
 from .engine import EngineError, GrayEngine
@@ -70,7 +70,7 @@ def apply_move(state: ContainerState, delta: TransitionDelta) -> tuple[int, int,
 
 def iter_with_container(
     spec: MultisetSpec,
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Optional[TransitionDelta]]]:
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], TransitionDelta | None]]:
     """Drive an engine and its container together.
 
     Yields (vector, container cells, delta) per object; the first object

@@ -28,9 +28,9 @@ never materializes them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
 from itertools import accumulate
-from typing import Iterator, Optional
 
 from .core import MultisetSpec, OracleLimitError, suffix_capacities
 
@@ -51,7 +51,7 @@ class LexTreeNode:
 
     __slots__ = ("label", "level", "children", "parity")
 
-    def __init__(self, label: Optional[int], level: int, parity: Optional[str] = None) -> None:
+    def __init__(self, label: int | None, level: int, parity: str | None = None) -> None:
         self.label = label  # None at the root
         self.level = level
         self.children: list[LexTreeNode] = []
@@ -183,7 +183,7 @@ def export_dot(tree: LexTreeNode, node_limit: int = DOT_NODE_LIMIT) -> str:
 
     # Preorder from an explicit stack of (node, name, parent's name): each
     # node's edge from its parent, then its own line, then its subtrees.
-    stack: list[tuple[LexTreeNode, str, Optional[str]]] = [(tree, "r", None)]
+    stack: list[tuple[LexTreeNode, str, str | None]] = [(tree, "r", None)]
     while stack:
         node, name, parent = stack.pop()
         if parent is not None:

@@ -10,10 +10,9 @@ reported but do not gate.
 
 from __future__ import annotations
 
-import random
+from collections.abc import Iterator
 from itertools import islice
 from operator import ne
-from typing import Iterator, Optional
 
 from .core import (
     MultisetSpec,
@@ -48,11 +47,8 @@ class SpecReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def first_failure(self) -> Optional[CheckResult]:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
+    def first_failure(self) -> CheckResult | None:
+        return next((c for c in self.checks if not c.passed), None)
 
 
 def _order_checks(
@@ -161,6 +157,8 @@ def random_spec(rng: random.Random, max_n: int, max_m: int) -> MultisetSpec:
 def iter_random_specs(
     count: int, max_n: int, max_m: int, seed: int
 ) -> Iterator[MultisetSpec]:
+    import random  # on the first draw, not with the package
+
     rng = random.Random(seed)
     for _ in range(count):
         yield random_spec(rng, max_n, max_m)

@@ -370,6 +370,17 @@ class TestCount:
         assert code == 2
         assert "exceeds limit" in err
 
+    def test_large_n_ie_names_the_cli_option(self, capsys):
+        code, out, err = run_cli(
+            capsys, "count", "--uniform", "1", "--n", "25", "--k", "3", "--method", "ie"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: inclusion-exclusion over 2^25 subsets exceeds limit (n <= 24); "
+            "use --method dp\n"
+        )
+
 
 class TestVerify:
     def test_single_spec(self, capsys):
@@ -604,19 +615,23 @@ def test_closed_pipe_exits_quietly():
 
 def test_import_skips_modules_enumerate_never_runs():
     # Every CLI call first imports the package: dataclasses (which pulls in
-    # inspect) and json would add to each call's start-up for nothing.
+    # inspect), json, typing and random would add to each call's start-up
+    # for nothing.  Both children run with -S, so that no site hook (a
+    # .pth file, sitecustomize) preloads a module and hides its import.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     show = "import sys; print(*sorted(sys.modules))"
 
     def modules(code):
         proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-S", "-c", code],
+            env=env, capture_output=True, text=True, check=True,
         )
         return set(proc.stdout.split())
 
     added = modules("import msetgray.cli; " + show) - modules(show)
     assert "msetgray.cli" in added
-    assert not added & {"dataclasses", "inspect", "json"}, sorted(added)
+    forbidden = {"dataclasses", "inspect", "json", "typing", "random"}
+    assert not added & forbidden, sorted(added)
 
 
 def test_enumeration_deterministic(capsys):

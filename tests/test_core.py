@@ -1,5 +1,9 @@
 import copy
+import importlib
+import inspect
 import pickle
+import random
+import typing
 
 import pytest
 
@@ -15,6 +19,7 @@ from msetgray import (
     validate,
     validate_vector,
 )
+from msetgray.verify import random_spec
 
 
 class TestValidate:
@@ -231,6 +236,86 @@ class TestApplyDelta:
     def test_equal_positions_rejected(self):
         with pytest.raises(ValueError, match="must differ"):
             apply_delta((1, 1), TransitionDelta(inc=1, dec=1))
+
+
+class TestTransitionDeltaValue:
+    """The step type is a plain namedtuple: these pin what callers and
+    pickles see, so a change to how the class is built cannot move them."""
+
+    def test_fields_repr_and_docstring(self):
+        d = TransitionDelta(3, 1)
+        assert repr(d) == "TransitionDelta(inc=3, dec=1)"
+        assert (d.inc, d.dec) == tuple(d) == (3, 1)
+        assert TransitionDelta._fields == TransitionDelta.__match_args__ == ("inc", "dec")
+        assert TransitionDelta.__module__ == "msetgray.core"
+        assert TransitionDelta.__doc__ == (
+            "One adjacent step: position ``inc`` gains one unit, ``dec`` loses one."
+        )
+
+    def test_asdict_and_replace(self):
+        d = TransitionDelta(inc=3, dec=1)
+        assert d._asdict() == {"inc": 3, "dec": 1}
+        assert type(d._asdict()) is dict
+        assert d._replace(dec=2) == TransitionDelta(3, 2)
+        assert type(d._replace(dec=2)) is TransitionDelta
+
+    def test_tuple_new_builds_the_same_value(self):
+        # GrayEngine.advance() builds its deltas this way, skipping __new__.
+        d = tuple.__new__(TransitionDelta, (3, 1))
+        assert type(d) is TransitionDelta
+        assert d == TransitionDelta(inc=3, dec=1)
+        assert repr(d) == "TransitionDelta(inc=3, dec=1)"
+
+    @pytest.mark.parametrize(
+        "protocol, frozen",
+        [
+            (0, b"ccopy_reg\n_reconstructor\np0\n(cmsetgray.core\nTransitionDelta\np1\n"
+                b"c__builtin__\ntuple\np2\n(I3\nI1\ntp3\ntp4\nRp5\n."),
+            (1, b"ccopy_reg\n_reconstructor\nq\x00(cmsetgray.core\nTransitionDelta\nq\x01"
+                b"c__builtin__\ntuple\nq\x02(K\x03K\x01tq\x03tq\x04Rq\x05."),
+            (2, b"\x80\x02cmsetgray.core\nTransitionDelta\nq\x00K\x03K\x01\x86q\x01\x81q\x02."),
+            (3, b"\x80\x03cmsetgray.core\nTransitionDelta\nq\x00K\x03K\x01\x86q\x01\x81q\x02."),
+            (4, b"\x80\x04\x95-\x00\x00\x00\x00\x00\x00\x00\x8c\rmsetgray.core\x94"
+                b"\x8c\x0fTransitionDelta\x94\x93\x94K\x03K\x01\x86\x94\x81\x94."),
+            (5, b"\x80\x05\x95-\x00\x00\x00\x00\x00\x00\x00\x8c\rmsetgray.core\x94"
+                b"\x8c\x0fTransitionDelta\x94\x93\x94K\x03K\x01\x86\x94\x81\x94."),
+        ],
+    )
+    def test_pickle_bytes_frozen(self, protocol, frozen):
+        d = TransitionDelta(inc=3, dec=1)
+        assert pickle.dumps(d, protocol=protocol) == frozen
+        assert pickle.loads(frozen) == d
+
+
+PACKAGE_MODULES = (
+    "msetgray", "msetgray.cli", "msetgray.core", "msetgray.counting", "msetgray.engine",
+    "msetgray.inplace", "msetgray.reference", "msetgray.treemodel", "msetgray.verify",
+)
+
+
+def test_every_annotation_resolves():
+    # Annotations are strings (``from __future__ import annotations``), so a
+    # name imported for them alone is never looked up at run time.  Resolve
+    # each one: a name dropped from a module's imports fails here.
+    resolved = 0
+    for module in map(importlib.import_module, PACKAGE_MODULES):
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                typing.get_type_hints(obj)
+                members = [getattr(m, "fget", m) for m in vars(obj).values()]
+                members = [inspect.unwrap(getattr(m, "__func__", m)) for m in members]
+                targets = [m for m in members if inspect.isfunction(m)]
+            else:
+                targets = [obj] if inspect.isfunction(obj) else []
+            for func in targets:
+                # random_spec's ``rng`` is a ``random.Random``; verify imports
+                # random only when it draws.
+                localns = {"random": random} if func is random_spec else None
+                typing.get_type_hints(func, localns=localns)
+                resolved += 1
+    assert resolved > 50
 
 
 def test_validate_vector_accepts_valid():
