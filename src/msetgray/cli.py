@@ -93,8 +93,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.order == "lex" and args.form == "delta":
         print("error: --order lex cannot stream deltas (not adjacent)", file=sys.stderr)
         return 2
-    if args.limit is not None and args.limit < 1:
-        print("error: --limit must be >= 1", file=sys.stderr)
+    if args.limit is not None and not 1 <= args.limit <= sys.maxsize:
+        bound = ">= 1" if args.limit < 1 else f"<= {sys.maxsize}"
+        print(f"error: --limit must be {bound}", file=sys.stderr)
         return 2
     fmt = _row_format(args.form, args.output, spec.k if args.form == "inplace" else spec.n)
     if args.output == "text" or args.form == "delta":
@@ -189,14 +190,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise InvalidSpecError("--max-n and --max-m must be >= 1")
         if count < 1:
             raise InvalidSpecError("--count must be >= 1")
-        specs = list(iter_random_specs(count, max_n, max_m, seed))
+        specs = iter_random_specs(count, max_n, max_m, seed)
     elif batch != (None,) * 4:
         raise InvalidSpecError("--count, --max-n, --max-m and --seed need --random")
     else:
         specs = [_spec_from_args(args)]
 
     info_totals: dict[str, int] = {}
-    for spec in specs:
+    for checked, spec in enumerate(specs, 1):
         try:
             report = run_spec_checks(spec)
         except EngineError as exc:
@@ -212,12 +213,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for key, value in report.info.items():
             info_totals[key] = info_totals.get(key, 0) + int(value)
 
-    if args.trace:
-        _print_trace(specs[0])
+    if args.trace:  # a single spec: --random refuses --trace
+        _print_trace(spec)
 
-    print(f"verified {len(specs)} spec(s): all mandatory checks passed")
+    print(f"verified {checked} spec(s): all mandatory checks passed")
     for key, hits in sorted(info_totals.items()):
-        print(f"info {key}: {hits}/{len(specs)}")
+        print(f"info {key}: {hits}/{checked}")
     return 0
 
 

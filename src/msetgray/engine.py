@@ -59,9 +59,10 @@ finishes.
 
 Nothing in advance() watches the step.  :func:`counted_advance` counts
 the bytecodes one step executes from outside, through the interpreter's
-trace hook; the tests hold that count under a frozen ceiling for n from
-10 to 1000 and under the longest path through advance()'s bytecode, and
-``msetgray verify --trace`` reports it per step.
+trace hook; ``msetgray verify --trace`` reports it per step.  On CPython
+3.11 the longest path through advance()'s bytecode is 220 opcodes and
+steps reach 219: only that path joins the window's di < 0 to the descent's
+di > 0.  The tests check both, and a frozen ceiling for n = 10 to 1000.
 
 One engine serves one sequential consumer; independent engines may run
 in parallel freely.
@@ -214,14 +215,41 @@ class GrayEngine:
 
         s = sums[i]
         di = d[i]
+        # The partner j and L's move, as the module docstring states them.
+        # rem is L's remainder at the new prefix; at L == i it is the focus's
+        # own, never 0 or b[i], as the focus has a choice.
+        rem = k - sums[L]
+        j = bot[L + 1]
+        new_L = L
+        if rem == 0 or rem == b[L]:
+            if a[L] != (m[L] if rem else 0):  # a forced level's one value
+                j = L
+            new_L = L - 1
+            if new_L > i and d[new_L] == di:
+                new_L = alt[new_L]
+            bot[new_L + 1] = j
+            self._L = new_L
+        elif L > i and (
+            # a[L] is the end L's sweep now starts from, min(m[L], rem) or
+            # max(rem - b[L+1], 0); it moved unless it is m[L] or 0 at both prefixes.
+            (a[L] < m[L] or rem < m[L]) if d[L] < 0 else (a[L] > 0 or rem > b[L + 1])
+        ):
+            j = L
+        elif L < last:
+            new_L = j if j < last else last
+            sums[new_L] = k - 1 if di < 0 else k - b[new_L] + 1
+            self._L = new_L
+
         if di > 0:
             end = k - s
             if m[i] < end:
                 end = m[i]
+            pair = (i, j)
         else:
             end = k - b[i + 1] - s
             if end < 0:
                 end = 0
+            pair = (j, i)
         if a[i] == end:
             # Arrival levels always have a sibling left: the links went wrong.
             lower = k - b[i + 1] - s
@@ -231,47 +259,23 @@ class GrayEngine:
                 f"[{lower if lower > 0 else 0},{upper if upper < m[i] else m[i]}]"
             )
 
-        # The partner: L if its first value at the new prefix differs, else bot[L+1].
-        j = bot[L + 1]
-        if L > i:
-            rem = k - sums[L]
-            if d[L] < 0:
-                first = m[L] if m[L] < rem else rem
-            else:
-                first = rem - b[L + 1]
-                if first < 0:
-                    first = 0
-            if first != a[L]:
-                j = L
-
         a[j] -= di
         ai = a[i] + di
         a[i] = ai
         # tuple.__new__ skips the Python-level __new__ of the named tuple.
-        delta = tuple.__new__(TransitionDelta, (i, j) if di > 0 else (j, i))
-
-        # L moves up if it is forced now, down if the partner left the tail.
-        new_L = L
-        if L > i and (rem == 0 or rem == b[L]):
-            new_L = L - 1
-            if new_L > i and d[new_L] == di:
-                new_L = alt[new_L]
-            bot[new_L + 1] = j
-            self._L = new_L
-        elif j > L and L < last:
-            new_L = j if j < last else last
-            sums[new_L] = k - 1 if di < 0 else k - b[new_L] + 1
-            self._L = new_L
+        delta = tuple.__new__(TransitionDelta, pair)
 
         if ai == end:
             # Landed on the last child: sum[i] counts the return level's unit.
             p = i - 1
             ret = up[p]
-            up[p] = p
             d[i] = -di
-            alt[i] = p if ret == p or d[p] == di else alt[p]
             if ret == p:
+                alt[i] = ret  # == p; sharing up[p]'s int object saves one per level
                 sums[p] = s - a[p]
+            else:
+                up[p] = p
+                alt[i] = p if d[p] == di else alt[p]
             sums[i] = s + d[ret]
             if new_L == i:
                 self._i = ret

@@ -147,7 +147,7 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
     return report
 
 
-def random_spec(rng: random.Random, max_n: int, max_m: int) -> MultisetSpec:
+def random_spec(rng, max_n: int, max_m: int) -> MultisetSpec:
     """Uniform small instance: n in 1..max_n, m[i] in 1..max_m, any feasible k."""
     n = rng.randint(1, max_n)
     m = tuple(rng.randint(1, max_m) for _ in range(n))

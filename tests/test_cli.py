@@ -91,6 +91,15 @@ class TestEnumerate:
         assert len(out.splitlines()) == 5
         assert "truncated" in err
 
+    @pytest.mark.parametrize(
+        "limit, bound", [("0", ">= 1"), (str(sys.maxsize + 1), f"<= {sys.maxsize}")]
+    )
+    def test_limit_out_of_range_exits_2(self, capsys, limit, bound):
+        # islice refuses a stop above sys.maxsize; the CLI says so first.
+        code, out, err = run_cli(capsys, "enumerate", "--m", "1,2", "--k", "1", "--limit", limit)
+        assert (code, out) == (2, "")
+        assert err == f"error: --limit must be {bound}\n"
+
     def test_json_lines_round_trip(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -477,6 +486,25 @@ class TestVerify:
             "  check engine_runs: arrived at an exhausted level: i=5",
         ]
         assert "verified" not in out
+
+    def test_random_failure_stops_the_draws(self, capsys, monkeypatch):
+        # The batch is drawn one spec at a time: a failing first spec ends
+        # it before a second is drawn.
+        drawn = []
+
+        def draw(rng, max_n, max_m):
+            drawn.append(rng)
+            return MultisetSpec(m=(1, 3, 1, 1, 1, 1), k=4)
+
+        def failing(spec):
+            raise EngineError("arrived at an exhausted level: i=5")
+
+        monkeypatch.setattr("msetgray.verify.random_spec", draw)
+        monkeypatch.setattr("msetgray.cli.run_spec_checks", failing)
+        code, out, err = run_cli(capsys, "verify", "--random", "--count", "1000")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == "FAIL m=(1, 3, 1, 1, 1, 1) k=4"
+        assert len(drawn) == 1
 
     def test_oracle_limit_names_the_spec(self, capsys):
         # The first random spec has n = 28, far past brute force's cap.
