@@ -169,16 +169,9 @@ def suffix_capacities(spec: MultisetSpec) -> list[int]:
 
 
 def last_combination(spec: MultisetSpec) -> tuple[int, ...]:
-    """Lexicographically largest combination (boxes filled left to right)."""
-    m, k = spec.m, spec.k
-    prefix = list(accumulate(m))
-    # Boxes left of j fill to capacity; box j takes the rest.
-    j = bisect_left(prefix, k)
-    a = [0] * spec.n
-    a[:j] = m[:j]
-    if j < spec.n:
-        a[j] = k - (prefix[j - 1] if j else 0)
-    return tuple(a)
+    """Lexicographically largest combination: boxes filled left to right,
+    the first combination of the mirrored spec, mirrored back."""
+    return first_combination(MultisetSpec(spec.m[::-1], spec.k))[0][::-1]
 
 
 def is_adjacent(x: Sequence[int], y: Sequence[int]) -> bool:

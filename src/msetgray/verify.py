@@ -98,40 +98,35 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
     eng = GrayEngine(spec)
     state = init_container(spec, eng.current())
     engine_seq = [eng.current()]
-    deltas = 0
-    container_ok = True
-    one_cell_ok = True
-    container_detail = ""
     before = state.cells()
+    in_place_failure = one_cell_failure = ""  # each container check's first failure
     while True:
         level = eng.i
         if level:
             kept, actual = eng.sum[level - 1], sum(engine_seq[-1][: level - 1])
             if kept != actual:
                 raise EngineError(
-                    f"m={spec.m} k={spec.k} step {deltas}: level {level} keeps "
-                    f"sum[{level}]={kept}, but a[1]+...+a[{level - 1}]={actual}"
+                    f"m={spec.m} k={spec.k} step {len(engine_seq) - 1}: level {level} "
+                    f"keeps sum[{level}]={kept}, but a[1]+...+a[{level - 1}]={actual}"
                 )
         delta = eng.advance()
         if delta is None:
             break
-        deltas += 1
         apply_move(state, delta)
         after = state.cells()
         engine_seq.append(eng.current())
-        if sum(map(ne, before, after)) != 1:
-            one_cell_ok = False
-            container_detail = f"step {deltas}: {before} -> {after}"
-        if tuple(sorted(after)) != to_inplace(spec, engine_seq[-1]):
-            container_ok = False
-            container_detail = f"step {deltas}: sorted({after}) != in-place form"
+        if sum(map(ne, before, after)) != 1 and not one_cell_failure:
+            one_cell_failure = f"step {len(engine_seq) - 1}: {before} -> {after}"
+        if tuple(sorted(after)) != to_inplace(spec, engine_seq[-1]) and not in_place_failure:
+            in_place_failure = f"step {len(engine_seq) - 1}: sorted({after}) != in-place form"
         before = after
 
+    deltas = len(engine_seq) - 1
     add(CheckResult("engine_first_is_smallest", engine_seq[0] == first_combination(spec)[0]))
     extend(_order_checks(engine_seq, lex, "engine_is_permutation", "engine_adjacent"))
     add(CheckResult("engine_delta_count", deltas == n_objects - 1, f"{deltas} deltas"))
-    add(CheckResult("container_matches_vector", container_ok, container_detail))
-    add(CheckResult("container_single_cell_steps", one_cell_ok, container_detail))
+    add(CheckResult("container_matches_vector", not in_place_failure, in_place_failure))
+    add(CheckResult("container_single_cell_steps", not one_cell_failure, one_cell_failure))
 
     tree = build_lexico_tree(spec)
     add(CheckResult("tree_leaves_lexicographic", leaf_sequence(tree) == lex))

@@ -30,6 +30,7 @@ from msetgray import (
 )
 
 from msetgray.core import suffix_capacities
+from msetgray.verify import random_spec
 
 from example_data import ENGINE_SEQUENCE, EXAMPLE_SPEC, OPCODE_CEILING
 
@@ -114,12 +115,6 @@ def straight_line_bound():
 # d[L] equals di; the partner test's two d[L] arms are equally long, so
 # no path gains from that pairing.)
 BOUND_GAP = {"sums[new_L] = k - 1 if di < 0 else k - b[new_L] + 1": 1}
-
-
-def random_spec(rng, max_n=6, max_m=4):
-    n = rng.randint(1, max_n)
-    m = tuple(rng.randint(1, max_m) for _ in range(n))
-    return MultisetSpec(m=m, k=rng.randint(0, sum(m)))
 
 
 class TestInit:
@@ -292,7 +287,7 @@ class TestProperties:
     def test_randomized_cross_oracle(self):
         rng = random.Random(17)
         for _ in range(250):
-            spec = random_spec(rng)
+            spec = random_spec(rng, 6, 4)
             seq = generate(spec)
             assert sorted(seq) == lex_generate(spec), spec
             assert all(is_adjacent(x, y) for x, y in zip(seq, seq[1:])), spec

@@ -18,14 +18,9 @@ from msetgray import (
     twist,
 )
 from msetgray.treemodel import EVEN, ODD, LexTreeNode, iter_nodes
+from msetgray.verify import random_spec
 
 from example_data import EXAMPLE_SPEC
-
-
-def random_spec(rng, max_n=6, max_m=4):
-    n = rng.randint(1, max_n)
-    m = tuple(rng.randint(1, max_m) for _ in range(n))
-    return MultisetSpec(m=m, k=rng.randint(0, sum(m)))
 
 
 def copy_then_reverse(tree, mode):
@@ -105,7 +100,7 @@ class TestBuild:
     def test_leaves_in_lex_order(self):
         rng = random.Random(41)
         for _ in range(100):
-            spec = random_spec(rng)
+            spec = random_spec(rng, 6, 4)
             assert leaf_sequence(build_lexico_tree(spec)) == lex_generate(spec), spec
 
     def test_path_deeper_than_recursion_limit(self):
@@ -180,21 +175,21 @@ class TestTwist:
     def test_skip_mode_matches_engine_randomized(self):
         rng = random.Random(43)
         for _ in range(120):
-            spec = random_spec(rng)
+            spec = random_spec(rng, 6, 4)
             twisted = twist(build_lexico_tree(spec), ParityMode.SKIP_SINGLE_CHILD)
             assert leaf_sequence(twisted) == generate(spec), spec
 
     def test_global_mode_matches_recursive_randomized(self):
         rng = random.Random(47)
         for _ in range(120):
-            spec = random_spec(rng)
+            spec = random_spec(rng, 6, 4)
             twisted = twist(build_lexico_tree(spec), ParityMode.GLOBAL)
             assert leaf_sequence(twisted) == gray_generate_recursive(spec), spec
 
     def test_twisted_leaves_adjacent(self):
         rng = random.Random(53)
         for _ in range(80):
-            spec = random_spec(rng)
+            spec = random_spec(rng, 6, 4)
             for mode in ParityMode:
                 leaves = leaf_sequence(twist(build_lexico_tree(spec), mode))
                 assert sorted(leaves) == lex_generate(spec), (spec, mode)

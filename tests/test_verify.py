@@ -149,36 +149,37 @@ def container_checks(report):
     return checks["container_matches_vector"], checks["container_single_cell_steps"]
 
 
-def test_container_check_names_last_rewritten_second_cell(monkeypatch):
-    log = damaging_apply_move(monkeypatch, {3: rewrite_second_cell, 9: rewrite_second_cell})
+@pytest.mark.parametrize("steps, first", [((9,), 9), ((3, 9), 3)])
+def test_container_check_names_first_rewritten_second_cell(monkeypatch, steps, first):
+    log = damaging_apply_move(monkeypatch, dict.fromkeys(steps, rewrite_second_cell))
     matches, single = container_checks(run_spec_checks(EXAMPLE_SPEC))
-    before, after = log[9 - 1]
-    assert matches.passed
-    assert (single.passed, single.detail) == (False, f"step 9: {before} -> {after}")
-    assert matches.detail == single.detail  # the detail is shared
+    before, after = log[first - 1]
+    assert (single.passed, single.detail) == (False, f"step {first}: {before} -> {after}")
+    assert (matches.passed, matches.detail) == (True, "")
 
 
 def test_container_check_names_wrong_component(monkeypatch):
     log = damaging_apply_move(monkeypatch, {LAST_STEP: write_wrong_component})
     matches, single = container_checks(run_spec_checks(EXAMPLE_SPEC))
     after = log[LAST_STEP - 1][1]
-    assert single.passed
+    assert (single.passed, single.detail) == (True, "")
     assert (matches.passed, matches.detail) == (
         False, f"step {LAST_STEP}: sorted({after}) != in-place form"
     )
-    assert single.detail == matches.detail
 
 
-def test_container_check_in_place_message_wins_on_a_double_failure(monkeypatch):
+def test_container_checks_name_their_own_steps_on_a_double_failure(monkeypatch):
     # Step 3 fails only the single-cell check; the last step fails both,
-    # and its in-place message is the one kept.
+    # and each check names the first step it failed at.
     log = damaging_apply_move(
         monkeypatch, {3: rewrite_second_cell, LAST_STEP: overwrite_second_cell}
     )
     report = run_spec_checks(EXAMPLE_SPEC)
     matches, single = container_checks(report)
+    before, after = log[3 - 1]
+    assert (single.passed, single.detail) == (False, f"step 3: {before} -> {after}")
     after = log[LAST_STEP - 1][1]
-    detail = f"step {LAST_STEP}: sorted({after}) != in-place form"
-    assert (matches.passed, matches.detail) == (False, detail)
-    assert (single.passed, single.detail) == (False, detail)
+    assert (matches.passed, matches.detail) == (
+        False, f"step {LAST_STEP}: sorted({after}) != in-place form"
+    )
     assert report.first_failure() is matches
