@@ -22,7 +22,7 @@ from .core import (
 )
 from .counting import IE_SUBSET_LIMIT, count_dp, count_inclusion_exclusion
 from .engine import EngineError, GrayEngine, counted_advance
-from .inplace import iter_with_container
+from .inplace import apply_move, init_container
 from .reference import gray_generate_recursive, lex_generate
 from .treemodel import ParityMode, build_lexico_tree, export_dot, twist
 from .verify import CheckResult, iter_random_specs, run_spec_checks
@@ -61,13 +61,38 @@ def _delta_between(x: Sequence[int], y: Sequence[int]) -> TransitionDelta:
 # -- enumerate ------------------------------------------------------------
 
 
+def _patched_cells(spec: MultisetSpec, form: str) -> Iterator[list[str]]:
+    """The gray-loopless objects as one list of cell strings, patched after
+    each step: the two counts a vector's delta names, or the one container
+    cell that apply_move() rewrites.  The same list comes back every time,
+    so each row must be used up before the next is drawn."""
+    eng = GrayEngine(spec)
+    a = [0, *eng.current()]  # 1-based counts, as the deltas name them
+    steps = iter(eng.advance, None)
+    if form == "inplace":
+        state = init_container(spec, a[1:])
+        cells = list(map(str, state.cells()))
+        yield cells
+        for delta in steps:
+            cells[apply_move(state, delta)[2] - 1] = str(delta.inc)
+            yield cells
+        return
+    cells = list(map(str, a[1:]))
+    yield cells
+    for inc, dec in steps:
+        a[inc] += 1
+        a[dec] -= 1
+        cells[inc - 1] = str(a[inc])
+        cells[dec - 1] = str(a[dec])
+        yield cells
+
+
 def _objects(spec: MultisetSpec, order: str, form: str) -> Iterator:
     """The objects of ``spec`` in ``order``, each in ``form``."""
     if order == "gray-loopless":
-        if form == "inplace":
-            return (cells for _, cells, _ in iter_with_container(spec))
-        eng = GrayEngine(spec)
-        return eng.iter_vectors() if form == "vector" else iter(eng.advance, None)
+        if form == "delta":
+            return iter(GrayEngine(spec).advance, None)
+        return _patched_cells(spec, form)
     vectors = lex_generate(spec) if order == "lex" else gray_generate_recursive(spec)
     if form == "vector":
         return iter(vectors)
@@ -79,13 +104,14 @@ def _objects(spec: MultisetSpec, order: str, form: str) -> Iterator:
 def _row_format(form: str, output: str, width: int) -> str:
     """The %-format of one row: a delta's two positions, or ``width`` cells
     (n for a vector, k for a container), after the row index in JSON.
-    ``%d`` prints an int exactly as ``str`` and ``json.dumps`` do."""
+    ``%s`` prints an int exactly as ``str`` and ``json.dumps`` do, and
+    costs less than ``%d``."""
     if form == "delta":
-        return "+%d -%d\n" if output == "text" else '{"inc": %d, "dec": %d}\n'
+        return "+%s -%s\n" if output == "text" else '{"inc": %s, "dec": %s}\n'
     if output == "text":
-        return " ".join(["%d"] * width) + "\n"
+        return " ".join(["%s"] * width) + "\n"
     key = "a" if form == "vector" else "elems"
-    return '{"i": %d, "' + key + '": [' + ", ".join(["%d"] * width) + "]}\n"
+    return '{"i": %s, "' + key + '": [' + ", ".join(["%s"] * width) + "]}\n"
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -97,11 +123,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         bound = ">= 1" if args.limit < 1 else f"<= {sys.maxsize}"
         print(f"error: --limit must be {bound}", file=sys.stderr)
         return 2
-    fmt = _row_format(args.form, args.output, spec.k if args.form == "inplace" else spec.n)
-    if args.output == "text" or args.form == "delta":
-        row = lambda obj, i: fmt % obj
+    if args.order == "gray-loopless" and args.form != "delta":  # _patched_cells' lists
+        if args.output == "text":
+            row = lambda cells, i: " ".join(cells) + "\n"
+        else:
+            fmt = _row_format(args.form, args.output, 1)  # one slot: the joined cells
+            row = lambda cells, i: fmt % (i, ", ".join(cells))
     else:
-        row = lambda cells, i: fmt % (i, *cells)
+        fmt = _row_format(args.form, args.output, spec.k if args.form == "inplace" else spec.n)
+        if args.output == "text" or args.form == "delta":
+            row = lambda obj, i: fmt % obj
+        else:
+            row = lambda cells, i: fmt % (i, *cells)
     index = count(1)
     try:
         objects = _objects(spec, args.order, args.form)

@@ -1,0 +1,65 @@
+"""Compare the bytes of `msetgray enumerate` between this tree and another.
+
+    python3 tests/cli_matrix.py OTHER_ROOT
+
+Runs every --order x --form x --output on ten specs, each with no --limit,
+--limit 1 and --limit 3: 540 invocations.  Each one runs as
+`python -m msetgray.cli` from this tree's src/ and from OTHER_ROOT's, and
+the two must agree in stdout, stderr and exit code.  Prints the count when
+all agree; otherwise names the first invocation that differs and exits 1.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = [
+    ("1,2,2,1,1", 4), ("2,3,1,1,2", 5), ("3,1,2", 0), ("1,3,1,1,1,1", 2), ("4", 2),
+    ("2,2,2,2,3,3,3,3,3", 11), ("12,10,3", 15), ("1,3,1,1,1,1", 4), ("2,2", 4), ("1", 0),
+]
+
+
+def invocations():
+    for m, k in SPECS:
+        for order in ("lex", "gray-recursive", "gray-loopless"):
+            for form in ("vector", "inplace", "delta"):
+                for output in ("text", "json-lines"):
+                    for limit in ([], ["--limit", "1"], ["--limit", "3"]):
+                        yield ["enumerate", "--m", m, "--k", str(k), "--order", order,
+                               "--form", form, "--output", output, *limit]
+
+
+def run(root: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-m", "msetgray.cli", *argv],
+                          cwd=root, env=env, capture_output=True, timeout=60)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print("usage: python3 tests/cli_matrix.py OTHER_ROOT", file=sys.stderr)
+        return 2
+    other = Path(sys.argv[1]).resolve()
+    if not (other / "src" / "msetgray" / "cli.py").is_file():
+        print(f"error: no src/msetgray/cli.py under {other}", file=sys.stderr)
+        return 2
+    compared = 0
+    for argv in invocations():
+        ours, theirs = run(ROOT, argv), run(other, argv)
+        if ours != theirs:
+            parts = ("stdout", "stderr", "exit code")
+            part = next(name for name, a, b in zip(parts, ours, theirs) if a != b)
+            print(f"differ in {part}: msetgray {' '.join(argv)}")
+            return 1
+        compared += 1
+    print(f"{compared} invocations identical (stdout, stderr and exit code)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

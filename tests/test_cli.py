@@ -260,7 +260,11 @@ def _dumped_row(form, output, obj, i):
 
 
 # k = 0 (empty container rows), n = 1, and cells of more than one digit.
-EDGE_SPECS = [("2,2", 0), ("1", 0), ("5", 3), ("12,10,3", 15)]
+EDGE_SPECS = [
+    ("2,2", 0), ("1", 0), ("5", 3), ("12,10,3", 15),
+    # Container ids of two digits; a multiplicity no lookup table could span.
+    ("1,1,1,1,1,1,1,1,1,1,1,2", 3), ("1000000000,1", 1),
+]
 
 
 @pytest.mark.parametrize("m, k", EDGE_SPECS)
@@ -292,15 +296,19 @@ class TestEnumerateFailure:
 
         monkeypatch.setattr(GrayEngine, "advance", advance)
 
+    @pytest.mark.parametrize("output", ["text", "json-lines"])
     @pytest.mark.parametrize("form, rows", [("vector", 5), ("inplace", 5), ("delta", 4)])
-    def test_engine_fault_record(self, capsys, monkeypatch, form, rows):
+    def test_engine_fault_record(self, capsys, monkeypatch, form, rows, output):
         self.fail_after(monkeypatch, 4)
         code, out, err = run_cli(
-            capsys, "enumerate", "--m", "1,2,2,1,1", "--k", "4", "--form", form
+            capsys,
+            "enumerate", "--m", "1,2,2,1,1", "--k", "4", "--form", form, "--output", output,
         )
         assert code == 1
         expected = _expected_objects("gray-loopless", form)[:rows]
-        assert out.splitlines() == [_expected_line(form, "text", obj, 0) for obj in expected]
+        assert out.splitlines() == [
+            _expected_line(form, output, obj, i) for i, obj in enumerate(expected, 1)
+        ]
         assert err.count("\n") == 1
         assert json.loads(err) == {
             "error": "EngineError",
