@@ -294,9 +294,9 @@ class GrayEngine:
             yield self.current()
 
 
-def generate(spec: MultisetSpec, limit: int | None = None) -> list[tuple[int, ...]]:
-    """Full adjacent sequence for a spec (optionally truncated to limit)."""
-    return list(islice(GrayEngine(spec).iter_vectors(), limit))
+def generate(spec: MultisetSpec) -> list[tuple[int, ...]]:
+    """Full adjacent sequence for a spec."""
+    return list(GrayEngine(spec).iter_vectors())
 
 
 def counted_advance(eng: GrayEngine) -> tuple[TransitionDelta | None, int]:

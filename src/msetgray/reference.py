@@ -12,8 +12,8 @@ These are the oracles the fast iterative engine is validated against:
 
 The recursive generators pay one Python call per tree node above the
 last level, so O(n) calls per object in the worst case; they exist for
-clarity, not speed.  The last level's window is the single value rem,
-so it is written in place rather than reached by one more call.
+clarity, not speed.  Each level's sweep is one range, with no builtin
+call per node, and the last level's single value rem is written in place.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ BRUTE_FORCE_LIMIT = 2_000_000
 Vector = tuple[int, ...]
 
 
-def brute_force(spec: MultisetSpec, limit: int = BRUTE_FORCE_LIMIT) -> list[Vector]:
+def brute_force(spec: MultisetSpec) -> list[Vector]:
     """All valid vectors in lexicographic order, by exhaustive filtering."""
     size = 1
     for mult in spec.m:
         size *= mult + 1
-        if size > limit:
+        if size > BRUTE_FORCE_LIMIT:
             raise OracleLimitError(
-                f"brute force would scan > {limit} candidate vectors"
+                f"brute force would scan > {BRUTE_FORCE_LIMIT} candidate vectors"
             )
     return [
         v
@@ -82,13 +82,9 @@ def _recursive_order(spec: MultisetSpec, flip: bool) -> list[Vector]:
             a[n] = rem
             out.append(tuple(a[1:]))
             return
-        lower = max(rem - b[i + 1], 0)
-        upper = min(m[i], rem)
-        if d[i] > 0:
-            values = range(lower, upper + 1)
-        else:
-            values = range(upper, lower - 1, -1)
-        for v in values:
+        lower = rem - b[i + 1]
+        upper = m[i] if m[i] < rem else rem
+        for v in range(lower if lower > 0 else 0, upper + 1)[::d[i]]:
             a[i] = v
             descend(i + 1, rem - v)
         if flip:

@@ -61,17 +61,15 @@ class LexTreeNode:
         return not self.children
 
 
-def build_lexico_tree(
-    spec: MultisetSpec, node_limit: int = TREE_NODE_LIMIT
-) -> LexTreeNode:
+def build_lexico_tree(spec: MultisetSpec) -> LexTreeNode:
     """Trie of all count vectors, children ascending by label.
 
     Built level by level, top-down, so the depth is not bounded by the
     interpreter's recursion limit.  A node's window of values depends only
     on its level and the units it leaves, so each level computes it once
     per distinct remainder (``max`` and ``min`` are slow calls).  The
-    level's nodes are counted against ``node_limit`` before they are made,
-    all in one list, and sliced out to their parents.
+    level's nodes are counted against ``TREE_NODE_LIMIT`` before they
+    are made, all in one list, and sliced out to their parents.
     """
     root = LexTreeNode(None, 0)
     b = suffix_capacities(spec)
@@ -82,8 +80,8 @@ def build_lexico_tree(
         windows = [window[r] for r in rems]
         ends = list(accumulate(map(len, windows)))
         total += ends[-1]
-        if total > node_limit:
-            raise OracleLimitError(f"tree exceeds {node_limit} nodes")
+        if total > TREE_NODE_LIMIT:
+            raise OracleLimitError(f"tree exceeds {TREE_NODE_LIMIT} nodes")
         kids = [LexTreeNode(v, i) for w in windows for v in w]
         for node, start, end in zip(nodes, [0, *ends], ends):
             node.children = kids[start:end]
@@ -164,7 +162,7 @@ def iter_nodes(tree: LexTreeNode) -> Iterator[LexTreeNode]:
         stack.extend(reversed(node.children))
 
 
-def export_dot(tree: LexTreeNode, node_limit: int = DOT_NODE_LIMIT) -> str:
+def export_dot(tree: LexTreeNode) -> str:
     """DOT digraph of a (possibly twisted) tree.
 
     Node names concatenate the level path ("r", "r_0", "r_0_2", ...), so
@@ -172,8 +170,8 @@ def export_dot(tree: LexTreeNode, node_limit: int = DOT_NODE_LIMIT) -> str:
     Labels carry branch value, level, and parity.
     """
     total = sum(1 for _ in iter_nodes(tree))
-    if total > node_limit:
-        raise OracleLimitError(f"{total} nodes exceed DOT limit {node_limit}")
+    if total > DOT_NODE_LIMIT:
+        raise OracleLimitError(f"{total} nodes exceed DOT limit {DOT_NODE_LIMIT}")
 
     lines = [
         "digraph enumeration_tree {",

@@ -10,6 +10,7 @@ reported but do not gate.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from itertools import islice
 from operator import ne
@@ -27,14 +28,7 @@ from .reference import brute_force, gray_generate_recursive, lex_generate
 from .treemodel import ParityMode, build_lexico_tree, leaf_sequence, twist
 
 
-class CheckResult:
-    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
-        self.name = name
-        self.passed = passed
-        self.detail = detail
-
-    def __repr__(self) -> str:
-        return f"CheckResult({self.name!r}, {self.passed!r}, {self.detail!r})"
+CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
 class SpecReport:

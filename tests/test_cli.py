@@ -343,6 +343,20 @@ class TestEnumerateFailure:
             "message": "maximum recursion depth exceeded",
         }
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 2: lex_generate recurses n frames deep, so n = 1200 "
+        "passes the recursion limit until a lazy walker replaces the recursion",
+    )
+    def test_lex_deeper_than_recursion_limit(self, capsys):
+        # m=(1,)^1200 k=1: 1,200 objects, the one unit at each position.
+        code, out, err = run_cli(
+            capsys, "enumerate", "--order", "lex", "--uniform", "1", "--n", "1200", "--k", "1"
+        )
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1200
+
 
 class TestCount:
     def test_worked_example(self, capsys):

@@ -33,9 +33,10 @@ class TestBruteForce:
     def test_two_boxes(self):
         assert brute_force(MultisetSpec(m=(2, 2), k=2)) == [(0, 2), (1, 1), (2, 0)]
 
-    def test_limit_enforced(self):
+    def test_limit_enforced(self, monkeypatch):
+        monkeypatch.setattr("msetgray.reference.BRUTE_FORCE_LIMIT", 1000)
         with pytest.raises(OracleLimitError):
-            brute_force(MultisetSpec(m=(9,) * 12, k=5), limit=1000)
+            brute_force(MultisetSpec(m=(9,) * 12, k=5))
 
 
 class TestLexGenerate:

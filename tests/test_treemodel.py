@@ -109,20 +109,23 @@ class TestBuild:
         tree = build_lexico_tree(MultisetSpec(m=(1,) * 1100, k=0))
         assert leaf_sequence(tree) == [(0,) * 1100]
 
-    def test_node_limit(self):
+    def test_node_limit(self, monkeypatch):
+        monkeypatch.setattr("msetgray.treemodel.TREE_NODE_LIMIT", 500)
         with pytest.raises(OracleLimitError, match="nodes"):
-            build_lexico_tree(MultisetSpec(m=(4,) * 10, k=20), node_limit=500)
+            build_lexico_tree(MultisetSpec(m=(4,) * 10, k=20))
 
     @pytest.mark.parametrize(
         "m, k", [((3,), 2), ((2, 2, 2), 0), ((4,) * 5, 10), ((1, 3, 2, 3), 4)]
     )
-    def test_node_limit_boundary(self, m, k):
+    def test_node_limit_boundary(self, m, k, monkeypatch):
         spec = MultisetSpec(m=m, k=k)
         total = sum(level_sizes(spec))
-        tree = build_lexico_tree(spec, node_limit=total)
+        monkeypatch.setattr("msetgray.treemodel.TREE_NODE_LIMIT", total)
+        tree = build_lexico_tree(spec)
         assert sum(1 for _ in iter_nodes(tree)) == total
+        monkeypatch.setattr("msetgray.treemodel.TREE_NODE_LIMIT", total - 1)
         with pytest.raises(OracleLimitError, match=f"^tree exceeds {total - 1} nodes$"):
-            build_lexico_tree(spec, node_limit=total - 1)
+            build_lexico_tree(spec)
 
     @pytest.mark.parametrize("level", [0, 1, 5, 6])
     def test_node_limit_counts_whole_levels(self, level, monkeypatch):
@@ -144,8 +147,9 @@ class TestBuild:
         fits = sum(sizes[: level + 1])
         for limit in (fits, fits + sizes[level + 1] - 1):
             made = 0
+            monkeypatch.setattr("msetgray.treemodel.TREE_NODE_LIMIT", limit)
             with pytest.raises(OracleLimitError, match=f"^tree exceeds {limit} nodes$"):
-                build_lexico_tree(spec, node_limit=limit)
+                build_lexico_tree(spec)
             assert made == fits
 
     def test_path_sums_equal_k(self):
@@ -289,9 +293,10 @@ class TestExportDot:
         dot = export_dot(twisted)
         assert "even" in dot and "odd" in dot
 
-    def test_render_limit(self):
+    def test_render_limit(self, monkeypatch):
+        monkeypatch.setattr("msetgray.treemodel.DOT_NODE_LIMIT", 5)
         with pytest.raises(OracleLimitError, match="DOT"):
-            export_dot(build_lexico_tree(EXAMPLE_SPEC), node_limit=5)
+            export_dot(build_lexico_tree(EXAMPLE_SPEC))
 
     def test_deterministic(self):
         tree = build_lexico_tree(EXAMPLE_SPEC)

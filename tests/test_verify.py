@@ -1,7 +1,7 @@
 import pytest
 
 from msetgray import EngineError, GrayEngine, MultisetSpec, generate, run_spec_checks
-from msetgray.verify import iter_random_specs, random_spec
+from msetgray.verify import CheckResult, iter_random_specs, random_spec
 
 from example_data import EXAMPLE_SPEC
 
@@ -13,6 +13,18 @@ def test_worked_example_all_pass():
     names = {c.name for c in report.checks}
     assert "engine_adjacent" in names
     assert "container_matches_vector" in names
+
+
+def test_check_result_is_a_record():
+    check = CheckResult("counts_agree", True)
+    assert CheckResult._fields == ("name", "passed", "detail")
+    assert check.detail == ""
+    assert check == ("counts_agree", True, "")
+    assert CheckResult("engine_runs", False, "boom")._asdict() == {
+        "name": "engine_runs",
+        "passed": False,
+        "detail": "boom",
+    }
 
 
 def test_info_flags_on_worked_example():
