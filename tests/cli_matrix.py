@@ -1,12 +1,14 @@
-"""Compare the bytes of `msetgray enumerate` between this tree and another.
+"""Compare the bytes of the `msetgray` CLI between this tree and another.
 
     python3 tests/cli_matrix.py OTHER_ROOT
 
-Runs every --order x --form x --output on ten specs, each with no --limit,
---limit 1 and --limit 3: 540 invocations.  Each one runs as
-`python -m msetgray.cli` from this tree's src/ and from OTHER_ROOT's, and
-the two must agree in stdout, stderr and exit code.  Prints the count when
-all agree; otherwise names the first invocation that differs and exits 1.
+Runs every `enumerate` --order x --form x --output on ten specs, each with
+no --limit, --limit 1 and --limit 3: 540 invocations.  On the same specs
+it runs `count` with each --method, `verify` and `tree` with each --mode:
+70 more.  Each one runs as `python -m msetgray.cli` from this tree's src/
+and from OTHER_ROOT's, and the two must agree in stdout, stderr and exit
+code.  Prints both counts when all agree; otherwise names the first
+invocation that differs and exits 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ SPECS = [
 ]
 
 
-def invocations():
+def enumerate_invocations():
     for m, k in SPECS:
         for order in ("lex", "gray-recursive", "gray-loopless"):
             for form in ("vector", "inplace", "delta"):
@@ -31,6 +33,16 @@ def invocations():
                     for limit in ([], ["--limit", "1"], ["--limit", "3"]):
                         yield ["enumerate", "--m", m, "--k", str(k), "--order", order,
                                "--form", form, "--output", output, *limit]
+
+
+def other_invocations():
+    for m, k in SPECS:
+        spec = ["--m", m, "--k", str(k)]
+        for method in ("ie", "dp", "both"):
+            yield ["count", *spec, "--method", method]
+        yield ["verify", *spec]
+        for mode in ("lex", "twisted", "twisted-global"):
+            yield ["tree", *spec, "--mode", mode]
 
 
 def run(root: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
@@ -48,16 +60,16 @@ def main() -> int:
     if not (other / "src" / "msetgray" / "cli.py").is_file():
         print(f"error: no src/msetgray/cli.py under {other}", file=sys.stderr)
         return 2
-    compared = 0
-    for argv in invocations():
+    enumerates, others = list(enumerate_invocations()), list(other_invocations())
+    for argv in enumerates + others:
         ours, theirs = run(ROOT, argv), run(other, argv)
         if ours != theirs:
             parts = ("stdout", "stderr", "exit code")
             part = next(name for name, a, b in zip(parts, ours, theirs) if a != b)
             print(f"differ in {part}: msetgray {' '.join(argv)}")
             return 1
-        compared += 1
-    print(f"{compared} invocations identical (stdout, stderr and exit code)")
+    print(f"{len(enumerates)} enumerate invocations identical, and {len(others)} "
+          "count/verify/tree invocations (stdout, stderr and exit code)")
     return 0
 
 

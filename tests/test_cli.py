@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,14 +11,18 @@ from msetgray import (
     EngineError,
     GrayEngine,
     MultisetSpec,
+    ParityMode,
     TransitionDelta,
     apply_move,
+    build_lexico_tree,
     count_dp,
+    export_dot,
     gray_generate_recursive,
     init_container,
     iter_with_container,
     lex_generate,
     to_inplace,
+    twist,
     validate_vector,
 )
 from msetgray.cli import main
@@ -413,6 +418,23 @@ class TestCount:
         )
 
 
+    def test_count_past_the_int_to_str_cap(self, capsys):
+        # comb(10**200 + 23, 23) has 4,578 digits, past CPython's default cap
+        # of 4,300 on int-to-str conversion.  The command lifts the cap to
+        # print and restores it.
+        cap = sys.get_int_max_str_digits()
+        code, out, err = run_cli(
+            capsys, "count", "--method", "ie",
+            "--uniform", str(10**300), "--n", "24", "--k", str(10**200),
+        )
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == cap
+        digits = out.removesuffix("\n")
+        assert len(digits) == 4578
+        value = int(digits[:4000]) * 10**578 + int(digits[4000:])
+        assert value == math.comb(10**200 + 23, 23)
+
+
 class TestVerify:
     def test_single_spec(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--m", "1,2,2,1,1", "--k", "4")
@@ -641,16 +663,27 @@ class TestBench:
         assert err == "error: --k-ratio must be within [0, 1]\n"
 
 
-def test_closed_pipe_exits_quietly():
+def child_env(unbuffered: bool) -> dict[str, str]:
+    """The caller's environment with src/ importable, and PYTHONUNBUFFERED
+    set to 1 or removed.  Without it stdout is block-buffered, as it is for
+    users and for the cli-pipe benchmark, which drops the variable."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_exits_quietly(unbuffered):
     # `msetgray enumerate ... | head -1`: the reader leaves after the
     # first line of a 616,227-object run.
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.Popen(
         [sys.executable, "-m", "msetgray.cli", "enumerate",
          "--uniform", "2", "--n", "14", "--k", "14"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(unbuffered),
     )
     try:
         first = proc.stdout.readline()
@@ -661,6 +694,65 @@ def test_closed_pipe_exits_quietly():
     assert first == b"0 0 0 0 0 0 0 2 2 2 2 2 2 2\n"
     assert err == b""
     assert proc.returncode == 0
+
+
+def run_child(*argv):
+    """`python -m msetgray.cli` in a child, through entry() and its os._exit,
+    with stdout and stderr on pipes and stdout block-buffered."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "msetgray.cli", *argv],
+        env=child_env(False), capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+EXAMPLE_ARGS = ("--m", "1,2,2,1,1", "--k", "4")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("enumerate", *EXAMPLE_ARGS),
+         (0, "".join(" ".join(map(str, v)) + "\n" for v in ENGINE_SEQUENCE), "")),
+        (("enumerate", *EXAMPLE_ARGS, "--limit", "1"),
+         (0, "0 0 2 1 1\n", "output truncated at --limit 1\n")),
+        (("enumerate", "--m", "2,2", "--k", "9"),
+         (2, "", "error: k=9 out of range 0..4 for m=(2, 2)\n")),
+        (("count", *EXAMPLE_ARGS), (0, "18\n", "")),
+        (("verify", *EXAMPLE_ARGS),
+         (0, "verified 1 spec(s): all mandatory checks passed\n"
+             "info engine_equals_recursive: 0/1\n"
+             "info global_tree_equals_recursive: 1/1\n"
+             "info twisted_tree_equals_engine: 1/1\n", "")),
+        (("tree", *EXAMPLE_ARGS),
+         (0, export_dot(twist(build_lexico_tree(EXAMPLE_SPEC), ParityMode.SKIP_SINGLE_CHILD)),
+          "")),
+    ],
+    ids=["enumerate", "limit", "spec-error", "count", "verify", "tree"],
+)
+def test_child_exit(argv, expected):
+    # Ending in os._exit must lose no byte of either stream and keep the code.
+    assert run_child(*argv) == expected
+
+
+def test_child_exit_error_record():
+    # lex-n1200 passes the recursion limit (ROADMAP item 2): one JSON record
+    # on stderr, exit 1, no rows.
+    code, out, err = run_child(
+        "enumerate", "--order", "lex", "--uniform", "1", "--n", "1200", "--k", "1"
+    )
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    record = json.loads(line)
+    assert (record["error"], record["rows"]) == ("RecursionError", 0)
+
+
+def test_child_exit_usage_error():
+    # argparse ends the process itself, through SystemExit, before entry()
+    # reaches os._exit.
+    code, out, err = run_child("enumerate", "--bogus")
+    assert (code, out) == (2, "")
+    assert err.endswith("msetgray: error: unrecognized arguments: --bogus\n")
 
 
 def test_import_skips_modules_enumerate_never_runs():
