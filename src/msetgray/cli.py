@@ -27,7 +27,7 @@ from .core import (
     TransitionDelta,
     to_inplace,
 )
-from .counting import IE_SUBSET_LIMIT, count_dp, count_inclusion_exclusion
+from .counting import DP_CELL_LIMIT, IE_SUBSET_LIMIT, count_dp, count_inclusion_exclusion
 from .engine import EngineError, GrayEngine, counted_advance
 from .inplace import apply_move, init_container
 from .reference import gray_generate_recursive, lex_generate
@@ -184,21 +184,35 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def _count(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    if args.method == "ie" and spec.n > IE_SUBSET_LIMIT:
-        raise OracleLimitError(
-            f"inclusion-exclusion over 2^{spec.n} subsets exceeds limit "
-            f"(n <= {IE_SUBSET_LIMIT}); use --method dp"
-        )
+    ie_refused = spec.n > IE_SUBSET_LIMIT
+    dp_refused = spec.n * (spec.k + 1) > DP_CELL_LIMIT
+    ie_limit = (
+        f"inclusion-exclusion over 2^{spec.n} subsets exceeds limit (n <= {IE_SUBSET_LIMIT})"
+    )
+    dp_limit = f"dp over n*(k+1) cells exceeds limit (n*(k+1) <= {DP_CELL_LIMIT})"
+    if args.method == "ie" and ie_refused:
+        raise OracleLimitError(f"{ie_limit}; use --method dp")
+    if args.method == "dp" and dp_refused:
+        raise OracleLimitError(f"{dp_limit}; use --method ie")
     if args.method != "both":
         print(count_dp(spec) if args.method == "dp" else count_inclusion_exclusion(spec))
         return 0
-    if spec.n > IE_SUBSET_LIMIT:
+    if ie_refused and dp_refused:
+        raise OracleLimitError(f"{ie_limit}, and {dp_limit}")
+    if ie_refused:
         print(
             f"note: n={spec.n} > {IE_SUBSET_LIMIT}: inclusion-exclusion skipped, "
             "counted by dp alone",
             file=sys.stderr,
         )
         print(count_dp(spec))
+        return 0
+    if dp_refused:
+        print(
+            f"note: n*(k+1) > {DP_CELL_LIMIT}: dp skipped, counted by inclusion-exclusion alone",
+            file=sys.stderr,
+        )
+        print(count_inclusion_exclusion(spec))
         return 0
     ie = count_inclusion_exclusion(spec)
     dp = count_dp(spec)

@@ -16,6 +16,10 @@ from .core import MultisetSpec, OracleLimitError
 
 # Inclusion-exclusion visits 2^n subsets; past this n use count_dp.
 IE_SUBSET_LIMIT = 24
+# count_dp fills n*(k+1) cells; past this many use inclusion-exclusion.  A
+# spec under reference.BRUTE_FORCE_LIMIT needs at most 2,000,002 of them
+# (m=(1, 999999), k=1000000), so verify never meets this cap.
+DP_CELL_LIMIT = 4_000_000
 
 
 def count_closure(n: int, k: int) -> int:
@@ -46,7 +50,9 @@ def count_inclusion_exclusion(spec: MultisetSpec) -> int:
             return sign * comb(n + kp - 1, kp)
         return rec(idx + 1, kp, sign) + rec(idx + 1, kp - m[idx] - 1, -sign)
 
-    return rec(0, spec.k, 1)
+    total = rec(0, spec.k, 1)
+    del rec  # it holds itself through its closure: free it by refcount
+    return total
 
 
 def inclusion_exclusion_terms(spec: MultisetSpec) -> list[tuple[tuple[int, ...], int]]:
@@ -70,6 +76,7 @@ def inclusion_exclusion_terms(spec: MultisetSpec) -> list[tuple[tuple[int, ...],
         rec(idx + 1, chosen + (idx + 1,), kp - m[idx] - 1, -sign)
 
     rec(0, (), spec.k, 1)
+    del rec  # it holds itself, and so terms, through its closure
     terms.sort(key=lambda t: (len(t[0]), t[0]))
     return terms
 
@@ -82,6 +89,11 @@ def count_dp(spec: MultisetSpec) -> int:
     read off prefix sums, so the table costs O(n*k) whatever m is.
     """
     k = spec.k
+    if spec.n * (k + 1) > DP_CELL_LIMIT:
+        raise OracleLimitError(
+            f"dp over n*(k+1) cells exceeds limit (n*(k+1) <= {DP_CELL_LIMIT}); "
+            "use count_inclusion_exclusion instead"
+        )
     ways = [1] + [0] * k
     for mult in spec.m:
         prefix = list(accumulate(ways, initial=0))

@@ -2,7 +2,9 @@
 
 These are the oracles the fast iterative engine is validated against:
 
-* brute_force     -- filter the full Cartesian product on sum == k.
+* brute_force     -- scan the Cartesian product of the first n-1 ranges;
+                     the last count is forced to k - sum(head) and kept
+                     when it fits in 0..m[n].
 * lex_generate    -- recursive descent with prefix-aware bounds; visits no
                      dead branch, emits in lexicographic order.
 * gray_generate_recursive -- same recursion, but each level sweeps its
@@ -29,7 +31,14 @@ Vector = tuple[int, ...]
 
 
 def brute_force(spec: MultisetSpec) -> list[Vector]:
-    """All valid vectors in lexicographic order, by exhaustive filtering."""
+    """All valid vectors in lexicographic order, by exhaustive filtering.
+
+    The scan runs over the product of the first n-1 ranges: each head
+    leaves one candidate for the last count, k - sum(head), kept when it
+    lies in 0..m[n].  BRUTE_FORCE_LIMIT still counts the full product
+    (m[1]+1)...(m[n]+1), so the cap refuses the same specs as a filter
+    over every vector would.
+    """
     size = 1
     for mult in spec.m:
         size *= mult + 1
@@ -37,10 +46,13 @@ def brute_force(spec: MultisetSpec) -> list[Vector]:
             raise OracleLimitError(
                 f"brute force would scan > {BRUTE_FORCE_LIMIT} candidate vectors"
             )
+    *head, last = spec.m
+    k = spec.k
     return [
-        v
-        for v in itertools.product(*(range(mult + 1) for mult in spec.m))
-        if sum(v) == spec.k
+        h + (r,)
+        for h in itertools.product(*(range(mult + 1) for mult in head))
+        for r in (k - sum(h),)  # one value: the last count is forced
+        if 0 <= r <= last
     ]
 
 
@@ -91,4 +103,5 @@ def _recursive_order(spec: MultisetSpec, flip: bool) -> list[Vector]:
             d[i] = -d[i]
 
     descend(1, spec.k)
+    del descend  # it holds itself through its closure: free it by refcount
     return out

@@ -46,10 +46,15 @@ class SpecReport:
 
 
 def _order_checks(
-    seq: list[tuple[int, ...]], lex: list[tuple[int, ...]], permutation: str, adjacent: str
+    seq: list[tuple[int, ...]], lex: list[tuple[int, ...]], permutation: str, adjacent: str,
+    same: tuple[CheckResult, CheckResult] | None = None,
 ) -> tuple[CheckResult, CheckResult]:
     """Whether ``seq`` reorders ``lex``, and whether each of its steps is
-    adjacent (the detail names the first pair that is not)."""
+    adjacent (the detail names the first pair that is not).  ``same`` are
+    the two checks of a sequence equal to ``seq``: their results and
+    details hold for ``seq`` too, so they are taken under these names."""
+    if same is not None:
+        return same[0]._replace(name=permutation), same[1]._replace(name=adjacent)
     steps = list(map(is_adjacent, seq, islice(seq, 1, None)))
     bad = steps.index(False) if False in steps else None
     return (
@@ -84,7 +89,10 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
     )
 
     recursive = gray_generate_recursive(spec)
-    extend(_order_checks(recursive, lex, "recursive_is_permutation", "recursive_adjacent"))
+    recursive_checks = _order_checks(
+        recursive, lex, "recursive_is_permutation", "recursive_adjacent"
+    )
+    extend(recursive_checks)
 
     # Engine run with a synchronized container sweep.  Before each step
     # the engine's prefix sum at the level it evaluates must equal
@@ -117,7 +125,13 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
 
     deltas = len(engine_seq) - 1
     add(CheckResult("engine_first_is_smallest", engine_seq[0] == first_combination(spec)[0]))
-    extend(_order_checks(engine_seq, lex, "engine_is_permutation", "engine_adjacent"))
+    # An order equal to one checked before takes its checks: each is checked once.
+    engine_equals_recursive = engine_seq == recursive
+    engine_checks = _order_checks(
+        engine_seq, lex, "engine_is_permutation", "engine_adjacent",
+        recursive_checks if engine_equals_recursive else None,
+    )
+    extend(engine_checks)
     add(CheckResult("engine_delta_count", deltas == n_objects - 1, f"{deltas} deltas"))
     add(CheckResult("container_matches_vector", not in_place_failure, in_place_failure))
     add(CheckResult("container_single_cell_steps", not one_cell_failure, one_cell_failure))
@@ -125,13 +139,17 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
     tree = build_lexico_tree(spec)
     add(CheckResult("tree_leaves_lexicographic", leaf_sequence(tree) == lex))
     skip_leaves = leaf_sequence(twist(tree, ParityMode.SKIP_SINGLE_CHILD))
+    twisted_equals_engine = skip_leaves == engine_seq
     extend(
-        _order_checks(skip_leaves, lex, "twisted_leaves_permutation", "twisted_leaves_adjacent")
+        _order_checks(
+            skip_leaves, lex, "twisted_leaves_permutation", "twisted_leaves_adjacent",
+            engine_checks if twisted_equals_engine else None,
+        )
     )
 
     global_leaves = leaf_sequence(twist(tree, ParityMode.GLOBAL))
-    report.info["engine_equals_recursive"] = engine_seq == recursive
-    report.info["twisted_tree_equals_engine"] = skip_leaves == engine_seq
+    report.info["engine_equals_recursive"] = engine_equals_recursive
+    report.info["twisted_tree_equals_engine"] = twisted_equals_engine
     report.info["global_tree_equals_recursive"] = global_leaves == recursive
     return report
 

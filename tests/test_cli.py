@@ -417,6 +417,36 @@ class TestCount:
             "use --method dp\n"
         )
 
+    def test_large_k_dp_alone_exits_2(self, capsys):
+        # dp's table would hold n*(k+1) cells; past its limit it is refused
+        # before any list is made, with the option that can count.
+        code, out, err = run_cli(
+            capsys, "count", "--method", "dp",
+            "--uniform", str(10**300), "--n", "24", "--k", str(10**200),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: dp over n*(k+1) cells exceeds limit (n*(k+1) <= 4000000); "
+            "use --method ie\n"
+        )
+
+    def test_large_k_falls_back_to_ie(self, capsys):
+        code, out, err = run_cli(
+            capsys, "count", "--m", "1000000,1000000,1000000,1000000", "--k", "1000000"
+        )
+        assert code == 0
+        assert out == f"{math.comb(1000003, 3)}\n"
+        assert err == "note: n*(k+1) > 4000000: dp skipped, counted by inclusion-exclusion alone\n"
+
+    def test_past_both_limits_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "count", "--uniform", "3", "--n", "100000", "--k", "150000"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: inclusion-exclusion over 2^100000 subsets exceeds limit (n <= 24), "
+            "and dp over n*(k+1) cells exceeds limit (n*(k+1) <= 4000000)\n"
+        )
 
     def test_count_past_the_int_to_str_cap(self, capsys):
         # comb(10**200 + 23, 23) has 4,578 digits, past CPython's default cap

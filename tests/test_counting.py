@@ -11,6 +11,8 @@ from msetgray import (
     count_inclusion_exclusion,
     inclusion_exclusion_terms,
 )
+from msetgray.counting import DP_CELL_LIMIT
+from msetgray.reference import BRUTE_FORCE_LIMIT
 
 
 class TestCountClosure:
@@ -77,6 +79,27 @@ class TestCountDp:
 
     def test_two_boxes(self):
         assert count_dp(MultisetSpec(m=(2, 2), k=2)) == 3
+
+    def test_cell_limit(self, monkeypatch):
+        # The table has n*(k+1) cells: 3*4 = 12 fits a limit of 12, 3*5 does not.
+        monkeypatch.setattr("msetgray.counting.DP_CELL_LIMIT", 12)
+        assert count_dp(MultisetSpec(m=(2, 2, 2), k=3)) == 7
+        with pytest.raises(OracleLimitError, match="count_inclusion_exclusion"):
+            count_dp(MultisetSpec(m=(2, 2, 2), k=4))
+
+    def test_cell_limit_refuses_before_allocating(self):
+        # A k past any list's size is refused, not an OverflowError.
+        with pytest.raises(OracleLimitError, match=r"n\*\(k\+1\) <= 4000000"):
+            count_dp(MultisetSpec(m=(10**300,) * 24, k=10**200))
+
+    def test_cell_limit_spares_every_brute_force_spec(self):
+        # Under BRUTE_FORCE_LIMIT, sum(m) is largest when all but one
+        # multiplicity is 1, so verify never reaches the dp limit.
+        worst = max(
+            n * ((BRUTE_FORCE_LIMIT >> (n - 1)) + n - 1)
+            for n in range(1, BRUTE_FORCE_LIMIT.bit_length())
+        )
+        assert worst == 2_000_002 <= DP_CELL_LIMIT
 
 
 def test_counters_agree_with_enumeration():

@@ -20,7 +20,21 @@ from msetgray import (
 from example_data import EXAMPLE_SPEC, LEX_TABLE, RECURSIVE_SEQUENCE
 
 
+def full_product_filter(spec):
+    """The plain definition of the set: every vector of the product, on sum == k."""
+    return [v for v in itertools.product(*(range(x + 1) for x in spec.m)) if sum(v) == spec.k]
+
+
 class TestBruteForce:
+    def test_equals_full_product_filter(self):
+        # Every m in {1,2,3}^n, n <= 5, and every k: n = 1 has an empty
+        # head, and k = 0 and k = sum(m) force every count.
+        for n in range(1, 6):
+            for m in itertools.product((1, 2, 3), repeat=n):
+                for k in range(sum(m) + 1):
+                    spec = MultisetSpec(m=m, k=k)
+                    assert brute_force(spec) == full_product_filter(spec), spec
+
     def test_worked_example_bounds(self):
         out = brute_force(EXAMPLE_SPEC)
         assert len(out) == 18
@@ -37,6 +51,14 @@ class TestBruteForce:
         monkeypatch.setattr("msetgray.reference.BRUTE_FORCE_LIMIT", 1000)
         with pytest.raises(OracleLimitError):
             brute_force(MultisetSpec(m=(9,) * 12, k=5))
+
+    def test_limit_counts_the_full_product(self, monkeypatch):
+        # The scan skips the last range, but the cap still counts it: a
+        # head of 10 vectors is refused when the full product is 110.
+        monkeypatch.setattr("msetgray.reference.BRUTE_FORCE_LIMIT", 100)
+        assert len(brute_force(MultisetSpec(m=(9, 9), k=9))) == 10
+        with pytest.raises(OracleLimitError, match="> 100 candidate vectors"):
+            brute_force(MultisetSpec(m=(9, 10), k=9))
 
 
 class TestLexGenerate:

@@ -1,6 +1,20 @@
+import gc
+
 import pytest
 
-from msetgray import EngineError, GrayEngine, MultisetSpec, generate, run_spec_checks
+from msetgray import (
+    EngineError,
+    GrayEngine,
+    MultisetSpec,
+    ParityMode,
+    count_inclusion_exclusion,
+    generate,
+    gray_generate_recursive,
+    inclusion_exclusion_terms,
+    lex_generate,
+    run_spec_checks,
+    twist,
+)
 from msetgray.verify import CheckResult, iter_random_specs, random_spec
 
 from example_data import EXAMPLE_SPEC
@@ -109,6 +123,56 @@ def test_engine_order_fault_names_first_bad_pair(monkeypatch, swaps, first_bad):
     assert checks["engine_is_permutation"].passed
     adjacent = checks["engine_adjacent"]
     assert (adjacent.passed, adjacent.detail) == (False, f"pair at index {first_bad}")
+    # The twisted leaves no longer equal the engine's order, so they are
+    # checked on their own and still pass.
+    assert report.info["twisted_tree_equals_engine"] is False
+    for name in ("twisted_leaves_permutation", "twisted_leaves_adjacent"):
+        assert (checks[name].passed, checks[name].detail) == (True, "")
+
+
+def test_twisted_leaves_fault_named_while_the_engine_is_right(monkeypatch):
+    # A SKIP twist that reverses nothing: its leaves are the lexicographic
+    # order, whose first pair that is not adjacent is pair 3 on the worked
+    # example.  The engine is untouched and passes.
+    def untwisted(tree, mode):
+        return tree if mode is ParityMode.SKIP_SINGLE_CHILD else twist(tree, mode)
+
+    monkeypatch.setattr("msetgray.verify.twist", untwisted)
+    report = run_spec_checks(EXAMPLE_SPEC)
+    checks = {c.name: c for c in report.checks}
+    assert report.info["twisted_tree_equals_engine"] is False
+    assert checks["engine_adjacent"].passed
+    assert checks["twisted_leaves_permutation"].passed
+    adjacent = checks["twisted_leaves_adjacent"]
+    assert (adjacent.passed, adjacent.detail) == (False, "pair at index 3")
+    assert report.first_failure() is adjacent
+
+
+@pytest.mark.parametrize(
+    "spec", [EXAMPLE_SPEC, MultisetSpec(m=(3,) * 6, k=9)], ids=["worked-example", "m3^6-k9"]
+)
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        run_spec_checks,
+        lex_generate,
+        gray_generate_recursive,
+        count_inclusion_exclusion,
+        inclusion_exclusion_terms,
+    ],
+)
+def test_oracle_leaves_no_cyclic_garbage(oracle, spec):
+    # Every object the oracle makes is freed by refcount alone; none waits
+    # for the cyclic collector.
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        oracle(spec)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def damaging_apply_move(monkeypatch, damage):
