@@ -1,6 +1,6 @@
 """Command-line front end: enumerate, count, verify, tree, bench.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or spec error.
+Exit codes: 0 success, 1 verification failure or engine fault, 2 refusal.
 Data goes to stdout, diagnostics to stderr.
 
 main() returns the exit code and never ends the process.  entry(), which
@@ -42,14 +42,19 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, help="combination size")
 
 
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    """A comma-separated list of integers, such as ``--m 1,2,2``."""
+    try:
+        return tuple(map(int, text.split(",")))
+    except ValueError as exc:
+        raise InvalidSpecError(f"bad {flag} value {text!r}") from exc
+
+
 def _spec_from_args(args: argparse.Namespace) -> MultisetSpec:
     if args.m is not None:
         if args.uniform is not None or args.n is not None:
             raise InvalidSpecError("give either --m or --uniform/--n, not both")
-        try:
-            m = tuple(int(part) for part in args.m.split(","))
-        except ValueError as exc:
-            raise InvalidSpecError(f"bad --m value {args.m!r}") from exc
+        m = _int_list(args.m, "--m")
     elif args.uniform is not None and args.n is not None:
         m = (args.uniform,) * args.n
     else:
@@ -124,12 +129,10 @@ def _row_format(form: str, output: str, width: int) -> str:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     if args.order == "lex" and args.form == "delta":
-        print("error: --order lex cannot stream deltas (not adjacent)", file=sys.stderr)
-        return 2
+        raise InvalidSpecError("--order lex cannot stream deltas (not adjacent)")
     if args.limit is not None and not 1 <= args.limit <= sys.maxsize:
         bound = ">= 1" if args.limit < 1 else f"<= {sys.maxsize}"
-        print(f"error: --limit must be {bound}", file=sys.stderr)
-        return 2
+        raise InvalidSpecError(f"--limit must be {bound}")
     if args.order == "gray-loopless" and args.form != "delta":  # _patched_cells' lists
         if args.output == "text":
             row = lambda cells, i: " ".join(cells) + "\n"
@@ -169,20 +172,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    # Counts are exact, so print every digit: lift CPython's cap on int-to-str
-    # conversion (4,300 digits, from 3.10.7 and 3.11), and restore it after.
-    get_cap = getattr(sys, "get_int_max_str_digits", None)
-    if get_cap is None:
-        return _count(args)
-    cap = get_cap()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _count(args)
-    finally:
-        sys.set_int_max_str_digits(cap)
-
-
-def _count(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     ie_refused = spec.n > IE_SUBSET_LIMIT
     dp_refused = spec.n * (spec.k + 1) > DP_CELL_LIMIT
@@ -247,8 +236,7 @@ def _print_trace(spec: MultisetSpec) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.random and args.trace:
-        print("error: --trace needs a single spec", file=sys.stderr)
-        return 2
+        raise InvalidSpecError("--trace needs a single spec")
     batch = (args.count, args.max_n, args.max_m, args.seed)
     if args.random:
         if (args.m, args.uniform, args.n, args.k) != (None,) * 4:
@@ -342,10 +330,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise InvalidSpecError("--n needs --uniform: the grid takes n from --n-list")
         defaults = ("10,100,1000", 3, 0.5)
         n_list, uniform_m, k_ratio = (d if v is None else v for v, d in zip(grid, defaults))
-        try:
-            n_values = [int(v) for v in n_list.split(",")]
-        except ValueError as exc:
-            raise InvalidSpecError(f"bad --n-list value {n_list!r}") from exc
+        n_values = _int_list(n_list, "--n-list")
         if not 0 <= k_ratio <= 1:  # also rejects nan
             raise InvalidSpecError("--k-ratio must be within [0, 1]")
         for n in n_values:
@@ -430,14 +415,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command and return its exit code; the process lives on.
-    Only argparse ends it, through SystemExit, on a usage error or --help."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    Only argparse ends it, through SystemExit, on a usage error or --help.
+    Every refusal, an integer too large to hold included, is one ``error:``
+    line and exit 2.  Flags read and commands print integers of any length:
+    CPython's int/str cap (4,300 digits, from 3.10.7) is off for the call."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         try:
             code = args.func(args)
-        except (InvalidSpecError, OracleLimitError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (InvalidSpecError, OracleLimitError, OverflowError, MemoryError) as exc:
+            sys.stdout.flush()  # the rows written so far go out before the error
+            named = isinstance(exc, (OverflowError, MemoryError))  # Python's own message
+            message = f"{type(exc).__name__}: {exc}".removesuffix(": ") if named else exc
+            print(f"error: {message}", file=sys.stderr)
             code = 2
         sys.stdout.flush()  # on every path: nothing is left to fail later
         return code
@@ -446,6 +439,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # stdout at the null device so that a later flush cannot fail too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 def entry() -> None:

@@ -5,9 +5,11 @@
 Runs every `enumerate` --order x --form x --output on ten specs, each with
 no --limit, --limit 1 and --limit 3: 540 invocations.  On the same specs
 it runs `count` with each --method, `verify` and `tree` with each --mode:
-70 more.  Each one runs as `python -m msetgray.cli` from this tree's src/
-and from OTHER_ROOT's, and the two must agree in stdout, stderr and exit
-code.  Prints both counts when all agree; otherwise names the first
+70 more.  Four refusals follow, each one `error:` line with exit 2:
+`--order lex --form delta`, `--limit` below 1 and above sys.maxsize, and
+`verify --random --trace`.  Each one runs as `python -m msetgray.cli` from
+this tree's src/ and from OTHER_ROOT's, and the two must agree in stdout,
+stderr and exit code.  Prints the counts when all agree; otherwise names the first
 invocation that differs and exits 1.
 """
 
@@ -45,6 +47,14 @@ def other_invocations():
             yield ["tree", *spec, "--mode", mode]
 
 
+def refusal_invocations():
+    spec = ["--m", "1,2", "--k", "1"]
+    yield ["enumerate", *spec, "--order", "lex", "--form", "delta"]
+    for limit in ("0", "9223372036854775808"):
+        yield ["enumerate", *spec, "--limit", limit]
+    yield ["verify", "--random", "--trace"]
+
+
 def run(root: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run([sys.executable, "-m", "msetgray.cli", *argv],
@@ -61,15 +71,17 @@ def main() -> int:
         print(f"error: no src/msetgray/cli.py under {other}", file=sys.stderr)
         return 2
     enumerates, others = list(enumerate_invocations()), list(other_invocations())
-    for argv in enumerates + others:
+    refusals = list(refusal_invocations())
+    for argv in enumerates + others + refusals:
         ours, theirs = run(ROOT, argv), run(other, argv)
         if ours != theirs:
             parts = ("stdout", "stderr", "exit code")
             part = next(name for name, a, b in zip(parts, ours, theirs) if a != b)
             print(f"differ in {part}: msetgray {' '.join(argv)}")
             return 1
-    print(f"{len(enumerates)} enumerate invocations identical, and {len(others)} "
-          "count/verify/tree invocations (stdout, stderr and exit code)")
+    print(f"{len(enumerates)} enumerate invocations identical, {len(others)} "
+          f"count/verify/tree invocations and {len(refusals)} refusals "
+          "(stdout, stderr and exit code)")
     return 0
 
 

@@ -785,6 +785,105 @@ def test_child_exit_usage_error():
     assert err.endswith("msetgray: error: unrecognized arguments: --bogus\n")
 
 
+# 5,001 digits: past CPython's cap of 4,300 on int/str conversion.
+HUGE = "1" + "0" * 5000
+
+
+class TestIntegersOfAnyLength:
+    def test_enumerate(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--m", f"{HUGE},1", "--k", "1")
+        assert (code, out, err) == (0, "0 1\n1 0\n", "")
+
+    def test_tree(self, capsys):
+        code, out, err = run_cli(capsys, "tree", "--m", f"{HUGE},1", "--k", "1")
+        assert (code, err) == (0, "")
+        assert out.startswith("digraph")
+
+    def test_count_m(self, capsys):
+        assert run_cli(capsys, "count", "--m", f"{HUGE},1", "--k", "1") == (0, "2\n", "")
+
+    def test_count_uniform(self, capsys):
+        # argparse's type=int reads --uniform, so the cap is off in parse_args too.
+        argv = ("count", "--uniform", HUGE, "--n", "2", "--k", "1")
+        assert run_cli(capsys, *argv) == (0, "2\n", "")
+
+    def test_verify_refuses_with_the_brute_force_cap(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--m", f"{HUGE},1", "--k", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: m=({HUGE}, 1) k=1: brute force would scan > 2000000 candidate vectors\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("count", "--m", "1,2", "--k", "1"), ("enumerate", "--m", "1,2", "--k", "9")],
+        ids=["return", "refusal"],
+    )
+    def test_cap_restored(self, capsys, argv):
+        cap = sys.get_int_max_str_digits()
+        run_cli(capsys, *argv)
+        assert sys.get_int_max_str_digits() == cap
+
+    def test_cap_restored_after_usage_error(self, capsys):
+        cap = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit):
+            main(["count", "--uniform", "x"])
+        assert sys.get_int_max_str_digits() == cap
+
+
+TOO_LARGE = str(10**20)  # past sys.maxsize, so no tuple of that length can exist
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *[((command, "--uniform", "1", "--n", TOO_LARGE, "--k", "1"),
+           "OverflowError: cannot fit 'int' into an index-sized integer")
+          for command in ("count", "enumerate", "verify", "tree")],
+        (("bench", "--n-list", TOO_LARGE),
+         "OverflowError: cannot fit 'int' into an index-sized integer"),
+        (("bench", "--n-list", "3", "--uniform-m", str(10**400)),
+         "OverflowError: int too large to convert to float"),
+    ],
+    ids=["count", "enumerate", "verify", "tree", "bench-n-list", "bench-k-ratio"],
+)
+def test_oversized_integer_exits_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def run_limited(*argv):
+    """run_child with the child's address space capped at 512 MiB, so that
+    an allocation too large for it raises MemoryError at once.  The limit
+    is set in the child between fork and exec, so it acts on the child only."""
+    import resource
+
+    limit = 512 << 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "msetgray.cli", *argv],
+        env=child_env(False), capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        # k cells in one container row, before the first row is written
+        (("enumerate", "--form", "inplace", "--uniform", str(10**13), "--n", "2",
+          "--k", str(10**13), "--limit", "1"), ""),
+        (("enumerate", "--uniform", "1", "--n", str(10**10), "--k", "1", "--limit", "1"), ""),
+        # the header is written before the engine's lists at n = 10**7
+        (("bench", "--n-list", "10000000", "--max-steps", "1"),
+         "instance k init_ms objects obj/s max_step_us"),
+    ],
+    ids=["inplace-row", "uniform-n", "bench"],
+)
+def test_out_of_memory_exits_2(argv, out):
+    code, stdout, err = run_limited(*argv)
+    assert (code, " ".join(stdout.split()), err) == (2, out, "error: MemoryError\n")
+
+
 def test_import_skips_modules_enumerate_never_runs():
     # Every CLI call first imports the package: dataclasses (which pulls in
     # inspect), json, typing and random would add to each call's start-up
