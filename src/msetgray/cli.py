@@ -30,9 +30,13 @@ from .core import (
 from .counting import DP_CELL_LIMIT, IE_SUBSET_LIMIT, count_dp, count_inclusion_exclusion
 from .engine import EngineError, GrayEngine, counted_advance
 from .inplace import apply_move, init_container
-from .reference import gray_generate_recursive, lex_generate
+from .reference import BRUTE_FORCE_LIMIT, gray_generate_recursive, lex_generate
 from .treemodel import ParityMode, build_lexico_tree, export_dot, twist
 from .verify import CheckResult, iter_random_specs, run_spec_checks
+
+# A container row holds k cells, and the first one is built before any row
+# is written: past this width, enumerate refuses --form inplace.
+INPLACE_ROW_LIMIT = 1_000_000
 
 
 def _add_spec_args(parser: argparse.ArgumentParser) -> None:
@@ -114,16 +118,31 @@ def _objects(spec: MultisetSpec, order: str, form: str) -> Iterator:
 
 
 def _row_format(form: str, output: str, width: int) -> str:
-    """The %-format of one row: a delta's two positions, or ``width`` cells
-    (n for a vector, k for a container), after the row index in JSON.
-    ``%s`` prints an int exactly as ``str`` and ``json.dumps`` do, and
-    costs less than ``%d``."""
+    """The %-format of one row, without its newline: a delta's two
+    positions, or ``width`` cells (n for a vector, k for a container),
+    after the row index in JSON.  ``%s`` prints an int exactly as ``str``
+    and ``json.dumps`` do, and costs less than ``%d``."""
     if form == "delta":
-        return "+%s -%s\n" if output == "text" else '{"inc": %s, "dec": %s}\n'
+        return "+%s -%s" if output == "text" else '{"inc": %s, "dec": %s}'
     if output == "text":
-        return " ".join(["%s"] * width) + "\n"
+        return " ".join(["%s"] * width)
     key = "a" if form == "vector" else "elems"
-    return '{"i": %s, "' + key + '": [' + ", ".join(["%s"] * width) + "]}\n"
+    return '{"i": %s, "' + key + '": [' + ", ".join(["%s"] * width) + "]}"
+
+
+def _rows(objects: Iterator, args: argparse.Namespace, width: int) -> Iterator[str]:
+    """Each object as its row, without the newline.  The rows are built by
+    C-level maps: the writer adds no Python call per row to the ones that
+    produce the object."""
+    if args.order == "gray-loopless" and args.form != "delta":  # _patched_cells' lists
+        if args.output == "text":
+            return map(" ".join, objects)
+        fmt = _row_format(args.form, args.output, 1)  # one slot: the joined cells
+        return map(fmt.__mod__, zip(count(1), map(", ".join, objects)))
+    fmt = _row_format(args.form, args.output, width)
+    if args.output == "json-lines" and args.form != "delta":
+        objects = map(tuple.__add__, zip(count(1)), objects)  # (i, *cells)
+    return map(fmt.__mod__, objects)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -133,32 +152,41 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.limit is not None and not 1 <= args.limit <= sys.maxsize:
         bound = ">= 1" if args.limit < 1 else f"<= {sys.maxsize}"
         raise InvalidSpecError(f"--limit must be {bound}")
-    if args.order == "gray-loopless" and args.form != "delta":  # _patched_cells' lists
-        if args.output == "text":
-            row = lambda cells, i: " ".join(cells) + "\n"
-        else:
-            fmt = _row_format(args.form, args.output, 1)  # one slot: the joined cells
-            row = lambda cells, i: fmt % (i, ", ".join(cells))
-    else:
-        fmt = _row_format(args.form, args.output, spec.k if args.form == "inplace" else spec.n)
-        if args.output == "text" or args.form == "delta":
-            row = lambda obj, i: fmt % obj
-        else:
-            row = lambda cells, i: fmt % (i, *cells)
-    index = count(1)
+    if args.form == "inplace" and spec.k > INPLACE_ROW_LIMIT:  # before any container
+        raise InvalidSpecError(
+            f"in-place rows of k={spec.k} cells exceed limit (k <= {INPLACE_ROW_LIMIT})"
+        )
+    width = {"vector": spec.n, "inplace": spec.k, "delta": 2}[args.form]
+    # Rows go out in blocks, one write of the joined block each.  A cap of
+    # 2,048 cells keeps a block of one-digit cells under TextIOWrapper's
+    # 8 KiB chunk, so the first bytes reach a pipe at most one block's
+    # rows later than they would row by row.
+    per_block = max(1, min(64, 2048 // max(width, 1)))
+    block: list[str] = []
+    written = 0
     try:
         objects = _objects(spec, args.order, args.form)
-        sys.stdout.writelines(map(row, islice(objects, args.limit), index))
+        rows = _rows(islice(objects, args.limit), args, width)
+        while True:
+            block.extend(islice(rows, per_block))  # a fault keeps the rows drawn
+            if not block:
+                break
+            written += len(block)
+            block.append("")  # the last row's newline
+            sys.stdout.write("\n".join(block))
+            block.clear()
         truncated = next(objects, None) is not None
     except (EngineError, RecursionError) as exc:
-        # Rows go out before the record.  map() draws an index only once it
-        # holds an object, so the next index is one past the rows written.
+        # The rows drawn before the fault go out, then the record.
         import json
 
+        written += len(block)
+        block.append("")
+        sys.stdout.write("\n".join(block))
         sys.stdout.flush()
         record = {
             "error": type(exc).__name__, "m": list(spec.m), "k": spec.k,
-            "order": args.order, "form": args.form, "rows": next(index) - 1,
+            "order": args.order, "form": args.form, "rows": written,
             "message": str(exc),
         }
         print(json.dumps(record), file=sys.stderr)
@@ -244,6 +272,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         count, max_n, max_m, seed = (d if v is None else v for v, d in zip(batch, (100, 6, 4, 0)))
         if min(max_n, max_m) < 1:
             raise InvalidSpecError("--max-n and --max-m must be >= 1")
+        # Every m[i] >= 1, so a spec of n counts spans at least 2**n vectors:
+        # brute force refuses every spec past this n, and each draw builds
+        # n counts first.
+        n_cap = BRUTE_FORCE_LIMIT.bit_length() - 1
+        if max_n > n_cap:
+            raise InvalidSpecError(
+                f"--max-n must be <= {n_cap}: brute force scans 2^n vectors or more"
+            )
         if count < 1:
             raise InvalidSpecError("--count must be >= 1")
         specs = iter_random_specs(count, max_n, max_m, seed)

@@ -3,7 +3,8 @@
     python3 tests/cli_matrix.py OTHER_ROOT
 
 Runs every `enumerate` --order x --form x --output on ten specs, each with
-no --limit, --limit 1 and --limit 3: 540 invocations.  On the same specs
+no --limit, --limit 1, --limit 3 and --limit 65 (one row past enumerate's
+first block of 64 rows): 720 invocations.  On the same specs
 it runs `count` with each --method, `verify` and `tree` with each --mode:
 70 more.  Four refusals follow, each one `error:` line with exit 2:
 `--order lex --form delta`, `--limit` below 1 and above sys.maxsize, and
@@ -32,7 +33,8 @@ def enumerate_invocations():
         for order in ("lex", "gray-recursive", "gray-loopless"):
             for form in ("vector", "inplace", "delta"):
                 for output in ("text", "json-lines"):
-                    for limit in ([], ["--limit", "1"], ["--limit", "3"]):
+                    for limit in ([], ["--limit", "1"], ["--limit", "3"],
+                                  ["--limit", "65"]):
                         yield ["enumerate", "--m", m, "--k", str(k), "--order", order,
                                "--form", form, "--output", output, *limit]
 

@@ -25,7 +25,7 @@ from msetgray import (
     twist,
     validate_vector,
 )
-from msetgray.cli import main
+from msetgray.cli import INPLACE_ROW_LIMIT, main
 
 from example_data import (
     ENGINE_SEQUENCE,
@@ -95,6 +95,24 @@ class TestEnumerate:
         assert code == 0
         assert len(out.splitlines()) == 5
         assert "truncated" in err
+
+    @pytest.mark.parametrize("order", ["lex", "gray-recursive", "gray-loopless"])
+    def test_inplace_row_past_cap_exits_2(self, capsys, monkeypatch, order):
+        # A container row holds k cells: past the cap it is refused before
+        # any container is built.  Vector rows of the same spec hold one cell.
+        def build(*args):
+            raise AssertionError("a container was built")
+
+        monkeypatch.setattr("msetgray.cli.init_container", build)
+        monkeypatch.setattr("msetgray.cli.to_inplace", build)
+        k = str(INPLACE_ROW_LIMIT + 1)
+        spec = ("--m", k, "--k", k, "--order", order)
+        code, out, err = run_cli(capsys, "enumerate", *spec, "--form", "inplace")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: in-place rows of k={k} cells exceed limit (k <= {INPLACE_ROW_LIMIT})\n"
+        )
+        assert run_cli(capsys, "enumerate", *spec) == (0, k + "\n", "")
 
     @pytest.mark.parametrize(
         "limit, bound", [("0", ">= 1"), (str(sys.maxsize + 1), f"<= {sys.maxsize}")]
@@ -221,14 +239,23 @@ ENUMERATE_MATRIX = [
 ]
 
 
-@pytest.mark.parametrize("limit", [None, 3])
+# 393 objects, rows of at most 7 cells: enumerate writes them in blocks of 64.
+BLOCK_SPEC = MultisetSpec(m=(2,) * 7, k=7)
+
+
+# EXAMPLE_SPEC against the goldens, whole and cut inside the first block;
+# BLOCK_SPEC cut one row before, at and one row after the first block's end.
+@pytest.mark.parametrize("limit", [None, 3, 63, 64, 65])
 @pytest.mark.parametrize("order, form, output", ENUMERATE_MATRIX)
 def test_enumerate_bytes(capsys, order, form, output, limit):
+    if limit in (None, 3):
+        spec, objects = EXAMPLE_SPEC, _expected_objects(order, form)
+    else:
+        spec, objects = BLOCK_SPEC, _library_objects(BLOCK_SPEC, order, form)
     argv = [
-        "enumerate", "--m", "1,2,2,1,1", "--k", "4",
+        "enumerate", "--m", ",".join(map(str, spec.m)), "--k", str(spec.k),
         "--order", order, "--form", form, "--output", output,
     ]
-    objects = _expected_objects(order, form)
     if limit is not None:
         argv += ["--limit", str(limit)]
         objects = objects[:limit]
@@ -237,7 +264,7 @@ def test_enumerate_bytes(capsys, order, form, output, limit):
     assert out == "".join(
         _expected_line(form, output, obj, i) + "\n" for i, obj in enumerate(objects, 1)
     )
-    assert err == ("" if limit is None else "output truncated at --limit 3\n")
+    assert err == ("" if limit is None else f"output truncated at --limit {limit}\n")
 
 
 def _library_objects(spec, order, form):
@@ -269,6 +296,8 @@ EDGE_SPECS = [
     ("2,2", 0), ("1", 0), ("5", 3), ("12,10,3", 15),
     # Container ids of two digits; a multiplicity no lookup table could span.
     ("1,1,1,1,1,1,1,1,1,1,1,2", 3), ("1000000000,1", 1),
+    # In-place rows of 2,100 cells: one row per block.
+    ("2100,2", 2100),
 ]
 
 
@@ -301,24 +330,29 @@ class TestEnumerateFailure:
 
         monkeypatch.setattr(GrayEngine, "advance", advance)
 
+    # A fault inside the first block of 64 rows, and one in the third.
     @pytest.mark.parametrize("output", ["text", "json-lines"])
-    @pytest.mark.parametrize("form, rows", [("vector", 5), ("inplace", 5), ("delta", 4)])
+    @pytest.mark.parametrize(
+        "form, rows",
+        [("vector", 5), ("inplace", 5), ("delta", 4),
+         ("vector", 131), ("inplace", 131), ("delta", 130)],
+    )
     def test_engine_fault_record(self, capsys, monkeypatch, form, rows, output):
-        self.fail_after(monkeypatch, 4)
+        expected = _library_objects(BLOCK_SPEC, "gray-loopless", form)[:rows]
+        self.fail_after(monkeypatch, rows if form == "delta" else rows - 1)
         code, out, err = run_cli(
             capsys,
-            "enumerate", "--m", "1,2,2,1,1", "--k", "4", "--form", form, "--output", output,
+            "enumerate", "--m", "2,2,2,2,2,2,2", "--k", "7", "--form", form, "--output", output,
         )
         assert code == 1
-        expected = _expected_objects("gray-loopless", form)[:rows]
         assert out.splitlines() == [
             _expected_line(form, output, obj, i) for i, obj in enumerate(expected, 1)
         ]
         assert err.count("\n") == 1
         assert json.loads(err) == {
             "error": "EngineError",
-            "m": [1, 2, 2, 1, 1],
-            "k": 4,
+            "m": [2] * 7,
+            "k": 7,
             "order": "gray-loopless",
             "form": form,
             "rows": rows,
@@ -541,6 +575,23 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: --max-n and --max-m must be >= 1\n"
 
+    @pytest.mark.parametrize("max_n", ["21", str(10**20)])
+    def test_random_max_n_past_brute_force_exits_2(self, capsys, monkeypatch, max_n):
+        # Every m[i] >= 1, so n = 21 means at least 2**21 vectors, past
+        # BRUTE_FORCE_LIMIT: refused before the first draw, however large.
+        drawn = []
+
+        def draw(rng, max_n, max_m):
+            drawn.append(max_n)
+            return MultisetSpec(m=(2, 2), k=2)
+
+        monkeypatch.setattr("msetgray.verify.random_spec", draw)
+        code, out, err = run_cli(capsys, "verify", "--random", "--count", "1", "--max-n", max_n)
+        assert (code, out, drawn) == (2, "", [])
+        assert err == "error: --max-n must be <= 20: brute force scans 2^n vectors or more\n"
+        code, _, err = run_cli(capsys, "verify", "--random", "--count", "1", "--max-n", "20")
+        assert (code, err, drawn) == (0, "", [20])
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_random_empty_batch_exits_2(self, capsys, count):
         # A batch that checks nothing must not report success.
@@ -581,13 +632,14 @@ class TestVerify:
         assert len(drawn) == 1
 
     def test_oracle_limit_names_the_spec(self, capsys):
-        # The first random spec has n = 28, far past brute force's cap.
-        argv = ("verify", "--random", "--count", "2", "--max-n", "30", "--max-m", "3")
+        # The first random spec has n = 13, within --max-n's cap, but its
+        # ranges m[i]+1 multiply to 17,280,000, past brute force's cap.
+        argv = ("verify", "--random", "--count", "2", "--max-n", "20", "--max-m", "4")
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == (
-            "error: m=(2, 2, 1, 2, 3, 2, 2, 2, 2, 2, 3, 1, 3, 1, 2, 1, 1, 3, 2, 3, 3, 3, 1, 2, "
-            "1, 3, 1, 3) k=21: brute force would scan > 2000000 candidate vectors\n"
+            "error: m=(4, 1, 3, 4, 4, 3, 4, 3, 2, 2, 3, 2, 1) k=16: "
+            "brute force would scan > 2000000 candidate vectors\n"
         )
 
 
@@ -867,21 +919,23 @@ def run_limited(*argv):
 
 
 @pytest.mark.parametrize(
-    "argv, out",
+    "argv, out, err",
     [
-        # k cells in one container row, before the first row is written
+        # k cells in one container row: refused before the container is built
         (("enumerate", "--form", "inplace", "--uniform", str(10**13), "--n", "2",
-          "--k", str(10**13), "--limit", "1"), ""),
-        (("enumerate", "--uniform", "1", "--n", str(10**10), "--k", "1", "--limit", "1"), ""),
+          "--k", str(10**13), "--limit", "1"), "",
+         "in-place rows of k=10000000000000 cells exceed limit (k <= 1000000)"),
+        (("enumerate", "--uniform", "1", "--n", str(10**10), "--k", "1", "--limit", "1"), "",
+         "MemoryError"),
         # the header is written before the engine's lists at n = 10**7
         (("bench", "--n-list", "10000000", "--max-steps", "1"),
-         "instance k init_ms objects obj/s max_step_us"),
+         "instance k init_ms objects obj/s max_step_us", "MemoryError"),
     ],
     ids=["inplace-row", "uniform-n", "bench"],
 )
-def test_out_of_memory_exits_2(argv, out):
-    code, stdout, err = run_limited(*argv)
-    assert (code, " ".join(stdout.split()), err) == (2, out, "error: MemoryError\n")
+def test_out_of_memory_exits_2(argv, out, err):
+    code, stdout, stderr = run_limited(*argv)
+    assert (code, " ".join(stdout.split()), stderr) == (2, out, f"error: {err}\n")
 
 
 def test_import_skips_modules_enumerate_never_runs():
