@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
+from operator import sub
 
 from .core import MultisetSpec, OracleLimitError
 
-# Inclusion-exclusion visits 2^n subsets; past this n use count_dp.
+# Inclusion-exclusion sums over 2^n subsets; past this n use count_dp.
 IE_SUBSET_LIMIT = 24
 # count_dp fills n*(k+1) cells; past this many use inclusion-exclusion.  A
 # spec under reference.BRUTE_FORCE_LIMIT needs at most 2,000,002 of them
@@ -33,50 +34,41 @@ def count_inclusion_exclusion(spec: MultisetSpec) -> int:
     """Count combinations by subtracting over-capacity selections.
 
     Each subset T of components contributes (-1)^|T| * C(n+k'-1, k') with
-    k' = k - sum over T of (m[i]+1); once k' goes negative no superset of
-    T can contribute, so that branch is cut.
+    k' = k - sum over T of (m[i]+1) >= 0.  One pass per component keeps the
+    signed number of subsets leaving each k', so the cost follows the number
+    of distinct k': at most n+1 when every m[i] is equal, 2^n when every
+    subset sum differs.
     """
-    n, m = spec.n, spec.m
+    n = spec.n
     if n > IE_SUBSET_LIMIT:
         raise OracleLimitError(
             f"inclusion-exclusion over 2^{n} subsets exceeds limit "
             f"(n <= {IE_SUBSET_LIMIT}); use count_dp instead"
         )
-
-    def rec(idx: int, kp: int, sign: int) -> int:
-        if kp < 0:
-            return 0
-        if idx == n:
-            return sign * comb(n + kp - 1, kp)
-        return rec(idx + 1, kp, sign) + rec(idx + 1, kp - m[idx] - 1, -sign)
-
-    total = rec(0, spec.k, 1)
-    del rec  # it holds itself through its closure: free it by refcount
-    return total
+    left = {spec.k: 1}  # k' -> signed number of subsets leaving k'
+    for mult in spec.m:
+        grown = dict(left)
+        for kp, signed in left.items():
+            if kp > mult:
+                grown[kp - mult - 1] = grown.get(kp - mult - 1, 0) - signed
+        left = grown
+    return sum(signed * comb(n + kp - 1, kp) for kp, signed in left.items())
 
 
 def inclusion_exclusion_terms(spec: MultisetSpec) -> list[tuple[tuple[int, ...], int]]:
     """Nonzero inclusion-exclusion terms as (subset of 1-based positions, signed value).
 
     Exposed for reporting: the empty-subset term is the closure count and
-    the remaining terms are the alternating corrections.
+    the remaining terms are the alternating corrections.  The subsets with
+    k' >= 0 grow one component at a time: one list entry per term.
     """
     n, m = spec.n, spec.m
     if n > IE_SUBSET_LIMIT:
         raise OracleLimitError(f"term expansion limited to n <= {IE_SUBSET_LIMIT}")
-    terms: list[tuple[tuple[int, ...], int]] = []
-
-    def rec(idx: int, chosen: tuple[int, ...], kp: int, sign: int) -> None:
-        if kp < 0:
-            return
-        if idx == n:
-            terms.append((chosen, sign * comb(n + kp - 1, kp)))
-            return
-        rec(idx + 1, chosen, kp, sign)
-        rec(idx + 1, chosen + (idx + 1,), kp - m[idx] - 1, -sign)
-
-    rec(0, (), spec.k, 1)
-    del rec  # it holds itself, and so terms, through its closure
+    live: list[tuple[tuple[int, ...], int]] = [((), spec.k)]
+    for pos, mult in enumerate(m, 1):
+        live += [(chosen + (pos,), kp - mult - 1) for chosen, kp in live if kp > mult]
+    terms = [(chosen, (-1) ** len(chosen) * comb(n + kp - 1, kp)) for chosen, kp in live]
     terms.sort(key=lambda t: (len(t[0]), t[0]))
     return terms
 
@@ -97,5 +89,5 @@ def count_dp(spec: MultisetSpec) -> int:
     ways = [1] + [0] * k
     for mult in spec.m:
         prefix = list(accumulate(ways, initial=0))
-        ways = [prefix[s + 1] - prefix[max(s - mult, 0)] for s in range(k + 1)]
+        ways = prefix[1 : mult + 2] + list(map(sub, prefix[mult + 2 :], prefix[1:]))
     return ways[k]

@@ -318,6 +318,9 @@ def counted_advance(eng: GrayEngine) -> tuple[TransitionDelta | None, int]:
             return None
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
+        # 3.12+ would otherwise miss the opcodes of a frame whose code is
+        # traced for the first time, reading 0 on a process's first step.
+        frame.f_trace = count
         return count
 
     def count(frame, event, arg):

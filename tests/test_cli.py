@@ -829,6 +829,15 @@ def test_child_exit_error_record():
     assert (record["error"], record["rows"]) == ("RecursionError", 0)
 
 
+def test_child_trace_counts_first_step():
+    # In a fresh process the first traced step is also the first call of
+    # advance()'s code, which 3.12+ instruments only then: it must count too.
+    code, out, _ = run_child("verify", *EXAMPLE_ARGS, "--trace")
+    assert code == 0
+    first = json.loads(out.splitlines()[0])
+    assert 0 < first["ops"] <= OPCODE_CEILING
+
+
 def test_child_exit_usage_error():
     # argparse ends the process itself, through SystemExit, before entry()
     # reaches os._exit.

@@ -117,17 +117,19 @@ def test_counters_agree_with_enumeration():
 def test_all_multiplicities_one_gives_binomial():
     from math import comb
 
-    for n in range(1, 9):
+    for n in range(1, 25):
         for k in range(0, n + 1):
             spec = MultisetSpec(m=(1,) * n, k=k)
             assert count_dp(spec) == comb(n, k)
+            assert count_inclusion_exclusion(spec) == comb(n, k)
 
 
 def test_all_multiplicities_k_gives_closure():
-    for n in range(1, 6):
+    for n in range(1, 25):
         for k in range(1, 6):
             spec = MultisetSpec(m=(k,) * n, k=k)
             assert count_dp(spec) == count_closure(n, k)
+            assert count_inclusion_exclusion(spec) == count_closure(n, k)
 
 
 def test_dp_large_instances_match_closed_forms():
@@ -147,3 +149,23 @@ def test_exact_arithmetic_beyond_word_size():
     assert count_dp(big) > 2**64
     mid = MultisetSpec(m=(9,) * 16, k=72)
     assert count_dp(mid) == count_inclusion_exclusion(mid)
+    # At the subset limit, n = 24: equal boxes, and boxes 1..24 whose
+    # subset sums mostly differ.
+    for m, k in (((3,) * 24, 36), (tuple(range(1, 25)), 150)):
+        spec = MultisetSpec(m=m, k=k)
+        assert count_dp(spec) == count_inclusion_exclusion(spec), spec
+
+
+def test_inclusion_exclusion_past_dp_limit():
+    # 24 equal boxes of 20,000 with k = 240,000: dp's table would pass its
+    # cap, and j boxes over capacity leave k' = k - 20001*j.
+    from math import comb
+
+    spec = MultisetSpec(m=(20_000,) * 24, k=240_000)
+    with pytest.raises(OracleLimitError):
+        count_dp(spec)
+    expected = sum(
+        (-1) ** j * comb(24, j) * comb(23 + 240_000 - 20_001 * j, 23)
+        for j in range(240_000 // 20_001 + 1)
+    )
+    assert count_inclusion_exclusion(spec) == expected

@@ -1,8 +1,11 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+import msetgray
 from msetgray import (
     MultisetSpec,
     OracleLimitError,
@@ -141,3 +144,33 @@ def test_both_orders_exhaustive():
         assert lex_generate(spec) == brute_force(spec), spec
         tree = twist(build_lexico_tree(spec), ParityMode.GLOBAL)
         assert gray_generate_recursive(spec) == leaf_sequence(tree), spec
+
+
+def self_calling_functions():
+    """Dotted names (module.outer.inner) of the functions in the package
+    that call their own name."""
+    found = []
+    for path in sorted(Path(msetgray.__file__).parent.glob("*.py")):
+        stack = [(ast.parse(path.read_text()), path.stem)]
+        while stack:
+            node, name = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = name
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{name}.{child.name}"
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == child.name
+                    for call in ast.walk(child)
+                ):
+                    found.append(inner)
+                stack.append((child, inner))
+    return sorted(found)
+
+
+def test_recursion_ratchet():
+    # Recursion is bounded by the interpreter's stack: each recursive
+    # function is a depth limit.  Only the reference orders' descent is
+    # left (ROADMAP item 2); a new one must be written as a loop.
+    assert self_calling_functions() == ["reference._recursive_order.descend"]
