@@ -74,6 +74,19 @@ def _delta_between(x: Sequence[int], y: Sequence[int]) -> TransitionDelta:
     return TransitionDelta(inc=diff.index(1) + 1, dec=diff.index(-1) + 1)
 
 
+def _fault_record(exc: Exception, spec: MultisetSpec, **fields: object) -> int:
+    """Flush the rows written so far, then write ``exc`` as one JSON record
+    on stderr: its type, the spec, the caller's ``fields`` and its message.
+    Returns exit code 1."""
+    import json
+
+    sys.stdout.flush()
+    record = {"error": type(exc).__name__, "m": list(spec.m), "k": spec.k, **fields,
+              "message": str(exc)}
+    print(json.dumps(record), file=sys.stderr)
+    return 1
+
+
 # -- enumerate ------------------------------------------------------------
 
 
@@ -103,20 +116,6 @@ def _patched_cells(spec: MultisetSpec, form: str) -> Iterator[list[str]]:
         yield cells
 
 
-def _objects(spec: MultisetSpec, order: str, form: str) -> Iterator:
-    """The objects of ``spec`` in ``order``, each in ``form``."""
-    if order == "gray-loopless":
-        if form == "delta":
-            return iter(GrayEngine(spec).advance, None)
-        return _patched_cells(spec, form)
-    vectors = lex_generate(spec) if order == "lex" else gray_generate_recursive(spec)
-    if form == "vector":
-        return iter(vectors)
-    if form == "inplace":
-        return map(to_inplace, repeat(spec), vectors)
-    return starmap(_delta_between, pairwise(vectors))  # adjacent orders only
-
-
 def _row_format(form: str, output: str, width: int) -> str:
     """The %-format of one row, without its newline: a delta's two
     positions, or ``width`` cells (n for a vector, k for a container),
@@ -130,17 +129,27 @@ def _row_format(form: str, output: str, width: int) -> str:
     return '{"i": %s, "' + key + '": [' + ", ".join(["%s"] * width) + "]}"
 
 
-def _rows(objects: Iterator, args: argparse.Namespace, width: int) -> Iterator[str]:
-    """Each object as its row, without the newline.  The rows are built by
-    C-level maps: the writer adds no Python call per row to the ones that
-    produce the object."""
-    if args.order == "gray-loopless" and args.form != "delta":  # _patched_cells' lists
-        if args.output == "text":
-            return map(" ".join, objects)
-        fmt = _row_format(args.form, args.output, 1)  # one slot: the joined cells
-        return map(fmt.__mod__, zip(count(1), map(", ".join, objects)))
-    fmt = _row_format(args.form, args.output, width)
-    if args.output == "json-lines" and args.form != "delta":
+def _rows(spec: MultisetSpec, args: argparse.Namespace, width: int) -> Iterator[str]:
+    """The objects of ``spec`` in ``args.order``, each as its row without the
+    newline.  The rows are built by C-level maps: the writer adds no Python
+    call per row to the ones that produce the object."""
+    order, form, output = args.order, args.form, args.output
+    if order == "gray-loopless" and form != "delta":
+        cells = _patched_cells(spec, form)  # one list, patched after each step
+        if output == "text":
+            return map(" ".join, cells)
+        fmt = _row_format(form, output, 1)  # one slot: the joined cells
+        return map(fmt.__mod__, zip(count(1), map(", ".join, cells)))
+    if order == "gray-loopless":
+        objects = iter(GrayEngine(spec).advance, None)
+    else:
+        objects = lex_generate(spec) if order == "lex" else gray_generate_recursive(spec)
+        if form == "inplace":
+            objects = map(to_inplace, repeat(spec), objects)
+        elif form == "delta":  # adjacent orders only
+            objects = starmap(_delta_between, pairwise(objects))
+    fmt = _row_format(form, output, width)
+    if output == "json-lines" and form != "delta":
         objects = map(tuple.__add__, zip(count(1)), objects)  # (i, *cells)
     return map(fmt.__mod__, objects)
 
@@ -165,32 +174,23 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     block: list[str] = []
     written = 0
     try:
-        objects = _objects(spec, args.order, args.form)
-        rows = _rows(islice(objects, args.limit), args, width)
+        rows = _rows(spec, args, width)
+        limited = islice(rows, args.limit)
         while True:
-            block.extend(islice(rows, per_block))  # a fault keeps the rows drawn
+            block.extend(islice(limited, per_block))  # a fault keeps the rows drawn
             if not block:
                 break
             written += len(block)
             block.append("")  # the last row's newline
             sys.stdout.write("\n".join(block))
             block.clear()
-        truncated = next(objects, None) is not None
+        truncated = next(rows, None) is not None
     except (EngineError, RecursionError) as exc:
         # The rows drawn before the fault go out, then the record.
-        import json
-
         written += len(block)
         block.append("")
         sys.stdout.write("\n".join(block))
-        sys.stdout.flush()
-        record = {
-            "error": type(exc).__name__, "m": list(spec.m), "k": spec.k,
-            "order": args.order, "form": args.form, "rows": written,
-            "message": str(exc),
-        }
-        print(json.dumps(record), file=sys.stderr)
-        return 1
+        return _fault_record(exc, spec, order=args.order, form=args.form, rows=written)
     if truncated:
         print(f"output truncated at --limit {args.limit}", file=sys.stderr)
     return 0
@@ -354,13 +354,12 @@ def _bench_one(spec: MultisetSpec, max_steps: int) -> tuple[float, int, float, f
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.max_steps < 1:
         raise InvalidSpecError("--max-steps must be >= 1")
-    rows: list[tuple[MultisetSpec, str]] = []
+    specs: list[MultisetSpec] = []
     grid = (args.n_list, args.uniform_m, args.k_ratio)
     if args.m is not None or args.uniform is not None:
         if grid != (None,) * 3:
             raise InvalidSpecError("--n-list, --uniform-m and --k-ratio need the grid")
-        spec = _spec_from_args(args)
-        rows.append((spec, f"n={spec.n}"))
+        specs.append(_spec_from_args(args))
     else:
         if args.n is not None:
             raise InvalidSpecError("--n needs --uniform: the grid takes n from --n-list")
@@ -372,17 +371,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for n in n_values:
             m = (uniform_m,) * n
             k = args.k if args.k is not None else int(sum(m) * k_ratio)
-            rows.append((MultisetSpec(m=m, k=k), f"n={n}"))  # validated before the header
+            specs.append(MultisetSpec(m=m, k=k))  # validated before the header
 
     print(
         f"{'instance':>12} {'k':>8} {'init_ms':>10} {'objects':>10} {'obj/s':>12} "
         f"{'max_step_us':>12}"
     )
-    for spec, tag in rows:
-        init, objects, max_step, elapsed = _bench_one(spec, args.max_steps)
+    for spec in specs:
+        try:
+            init, objects, max_step, elapsed = _bench_one(spec, args.max_steps)
+        except EngineError as exc:  # the rows printed so far stay
+            return _fault_record(exc, spec)
         rate = objects / elapsed if elapsed > 0 else float("inf")
         print(
-            f"{tag:>12} {spec.k:>8} {init * 1e3:>10.3f} {objects:>10} {rate:>12.0f} "
+            f"{f'n={spec.n}':>12} {spec.k:>8} {init * 1e3:>10.3f} {objects:>10} {rate:>12.0f} "
             f"{max_step * 1e6:>12.1f}"
         )
     return 0
@@ -454,10 +456,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     Only argparse ends it, through SystemExit, on a usage error or --help.
     Every refusal, an integer too large to hold included, is one ``error:``
     line and exit 2.  Flags read and commands print integers of any length:
-    CPython's int/str cap (4,300 digits, from 3.10.7) is off for the call."""
-    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if cap is not None:
-        sys.set_int_max_str_digits(0)
+    CPython's int/str cap (4,300 digits by default) is off for the call."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         try:
@@ -476,8 +477,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     finally:
-        if cap is not None:
-            sys.set_int_max_str_digits(cap)
+        sys.set_int_max_str_digits(cap)
 
 
 def entry() -> None:

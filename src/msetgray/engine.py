@@ -104,8 +104,6 @@ class GrayEngine:
         self.spec = spec
         n = spec.n
         k = spec.k
-        self._n = n
-        self._k = k
         m = [0, *spec.m]  # 1-based
 
         # Every n-sized list is built by one bulk operation.
@@ -150,11 +148,11 @@ class GrayEngine:
 
     @property
     def n(self) -> int:
-        return self._n
+        return self.spec.n
 
     @property
     def k(self) -> int:
-        return self._k
+        return self.spec.k
 
     @property
     def i(self) -> int:
@@ -169,10 +167,6 @@ class GrayEngine:
     @property
     def finished(self) -> bool:
         return self._finished
-
-    @property
-    def a(self) -> tuple[int, ...]:
-        return tuple(self._a[1:])
 
     @property
     def d(self) -> tuple[int, ...]:

@@ -744,6 +744,25 @@ class TestBench:
         assert (code, out) == (2, "")
         assert err == "error: --k-ratio must be within [0, 1]\n"
 
+    def test_engine_fault_record(self, capsys, monkeypatch):
+        # The first instance's 3 steps pass; the second faults after 2 more.
+        TestEnumerateFailure().fail_after(monkeypatch, 5)
+        code, out, err = run_cli(
+            capsys, "bench", "--n-list", "5,10", "--uniform-m", "2", "--max-steps", "3"
+        )
+        assert code == 1
+        header, row = out.splitlines()
+        assert header.split()[0] == "instance"
+        tag, k, _, objects = row.split()[:4]
+        assert (tag, k, objects) == ("n=5", "5", "4")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "EngineError",
+            "m": [2] * 10,
+            "k": 10,
+            "message": "arrived at an exhausted level: i=5, a[i]=1",
+        }
+
 
 def child_env(unbuffered: bool) -> dict[str, str]:
     """The caller's environment with src/ importable, and PYTHONUNBUFFERED
@@ -827,6 +846,32 @@ def test_child_exit_error_record():
     [line] = err.splitlines()
     record = json.loads(line)
     assert (record["error"], record["rows"]) == ("RecursionError", 0)
+
+
+def test_child_bench_fault_record():
+    # An advance() that faults after 5 steps, installed before entry() runs.
+    inject = (
+        "from msetgray.cli import entry\n"
+        "from msetgray.engine import EngineError, GrayEngine\n"
+        "real, calls = GrayEngine.advance, iter(range(5))\n"
+        "def advance(self):\n"
+        "    if next(calls, None) is None:\n"
+        "        raise EngineError('injected fault')\n"
+        "    return real(self)\n"
+        "GrayEngine.advance = advance\n"
+        "entry()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", inject, "bench", "--uniform", "3", "--n", "10", "--k", "15"],
+        env=child_env(False), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout.split() == ["instance", "k", "init_ms", "objects", "obj/s", "max_step_us"]
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line) == {
+        "error": "EngineError", "m": [3] * 10, "k": 15, "message": "injected fault",
+    }
 
 
 def test_child_trace_counts_first_step():

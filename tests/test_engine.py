@@ -485,5 +485,5 @@ def test_return_links_reset_below_every_up_jump():
 
 def test_state_views_are_tuples():
     eng = GrayEngine(EXAMPLE_SPEC)
-    for view in (eng.a, eng.d, eng.b, eng.sum, eng.up):
+    for view in (eng.current(), eng.d, eng.b, eng.sum, eng.up):
         assert isinstance(view, tuple)
