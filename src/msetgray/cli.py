@@ -27,10 +27,11 @@ from .core import (
     TransitionDelta,
     to_inplace,
 )
-from .counting import DP_CELL_LIMIT, IE_SUBSET_LIMIT, count_dp, count_inclusion_exclusion
+from . import reference
+from .counting import count_dp, count_inclusion_exclusion
 from .engine import EngineError, GrayEngine, counted_advance
 from .inplace import apply_move, init_container
-from .reference import BRUTE_FORCE_LIMIT, gray_generate_recursive, lex_generate
+from .reference import gray_generate_recursive, lex_generate
 from .treemodel import ParityMode, build_lexico_tree, export_dot, twist
 from .verify import CheckResult, iter_random_specs, run_spec_checks
 
@@ -96,21 +97,19 @@ def _patched_cells(spec: MultisetSpec, form: str) -> Iterator[list[str]]:
     cell that apply_move() rewrites.  The same list comes back every time,
     so each row must be used up before the next is drawn."""
     eng = GrayEngine(spec)
-    a = [0, *eng.current()]  # 1-based counts, as the deltas name them
     steps = iter(eng.advance, None)
     if form == "inplace":
-        state = init_container(spec, a[1:])
+        state = init_container(spec, eng.current())
         cells = list(map(str, state.cells()))
         yield cells
         for delta in steps:
             cells[apply_move(state, delta)[2] - 1] = str(delta.inc)
             yield cells
         return
+    a = eng._a  # the engine's own 1-based counts, which advance() rewrites
     cells = list(map(str, a[1:]))
     yield cells
     for inc, dec in steps:
-        a[inc] += 1
-        a[dec] -= 1
         cells[inc - 1] = str(a[inc])
         cells[dec - 1] = str(a[dec])
         yield cells
@@ -201,44 +200,27 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    ie_refused = spec.n > IE_SUBSET_LIMIT
-    dp_refused = spec.n * (spec.k + 1) > DP_CELL_LIMIT
-    ie_limit = (
-        f"inclusion-exclusion over 2^{spec.n} subsets exceeds limit (n <= {IE_SUBSET_LIMIT})"
-    )
-    dp_limit = f"dp over n*(k+1) cells exceeds limit (n*(k+1) <= {DP_CELL_LIMIT})"
-    if args.method == "ie" and ie_refused:
-        raise OracleLimitError(f"{ie_limit}; use --method dp")
-    if args.method == "dp" and dp_refused:
-        raise OracleLimitError(f"{dp_limit}; use --method ie")
-    if args.method != "both":
-        print(count_dp(spec) if args.method == "dp" else count_inclusion_exclusion(spec))
-        return 0
-    if ie_refused and dp_refused:
-        raise OracleLimitError(f"{ie_limit}, and {dp_limit}")
-    if ie_refused:
-        print(
-            f"note: n={spec.n} > {IE_SUBSET_LIMIT}: inclusion-exclusion skipped, "
-            "counted by dp alone",
-            file=sys.stderr,
-        )
-        print(count_dp(spec))
-        return 0
-    if dp_refused:
-        print(
-            f"note: n*(k+1) > {DP_CELL_LIMIT}: dp skipped, counted by inclusion-exclusion alone",
-            file=sys.stderr,
-        )
-        print(count_inclusion_exclusion(spec))
-        return 0
-    ie = count_inclusion_exclusion(spec)
-    dp = count_dp(spec)
-    if ie != dp:
-        print(f"ie={ie}", file=sys.stderr)
-        print(f"dp={dp}", file=sys.stderr)
+    counts: dict[str, int] = {}
+    refused: dict[str, str] = {}  # method -> the counter's limit clause, without its hint
+    for method in ("ie", "dp") if args.method == "both" else (args.method,):
+        try:  # each counter refuses before it does any work
+            counts[method] = (count_inclusion_exclusion if method == "ie" else count_dp)(spec)
+        except OracleLimitError as exc:
+            refused[method] = str(exc).partition("; ")[0]
+    if len(refused) == 2:
+        raise OracleLimitError(f"{refused['ie']}, and {refused['dp']}")
+    if refused and not counts:  # the one method asked for
+        other = "ie" if method == "dp" else "dp"
+        raise OracleLimitError(f"{refused[method]}; use --method {other}")
+    if refused:  # under --method both: the other counter counted
+        alone = "dp" if "ie" in refused else "inclusion-exclusion"
+        print(f"note: {refused.popitem()[1]}; counted by {alone} alone", file=sys.stderr)
+    if len(set(counts.values())) > 1:
+        print(f"ie={counts['ie']}", file=sys.stderr)
+        print(f"dp={counts['dp']}", file=sys.stderr)
         print("error: counting methods disagree", file=sys.stderr)
         return 1
-    print(ie)
+    print(counts.popitem()[1])  # the one count, or two that agree
     return 0
 
 
@@ -275,7 +257,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # Every m[i] >= 1, so a spec of n counts spans at least 2**n vectors:
         # brute force refuses every spec past this n, and each draw builds
         # n counts first.
-        n_cap = BRUTE_FORCE_LIMIT.bit_length() - 1
+        n_cap = reference.BRUTE_FORCE_LIMIT.bit_length() - 1
         if max_n > n_cap:
             raise InvalidSpecError(
                 f"--max-n must be <= {n_cap}: brute force scans 2^n vectors or more"

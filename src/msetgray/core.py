@@ -122,6 +122,8 @@ def validate_vector(spec: MultisetSpec, a: Sequence[int]) -> None:
     if len(a) != spec.n:
         raise ValueError(f"vector length {len(a)} != n={spec.n}")
     for pos, (count, mult) in enumerate(zip(a, spec.m), start=1):
+        if not _is_int_type(type(count)):  # validate's rule: bool is refused too
+            raise ValueError(f"a[{pos}] must be an int, got {count!r}")
         if not 0 <= count <= mult:
             raise ValueError(f"a[{pos}]={count} outside 0..{mult}")
     if sum(a) != spec.k:

@@ -6,9 +6,10 @@ Runs every `enumerate` --order x --form x --output on ten specs, each with
 no --limit, --limit 1, --limit 3 and --limit 65 (one row past enumerate's
 first block of 64 rows): 720 invocations.  On the same specs
 it runs `count` with each --method, `verify` and `tree` with each --mode:
-70 more.  Four refusals follow, each one `error:` line with exit 2:
-`--order lex --form delta`, `--limit` below 1 and above sys.maxsize, and
-`verify --random --trace`.  Each one runs as `python -m msetgray.cli` from
+70 more.  Seven refusals follow, each one `error:` line with exit 2:
+`--order lex --form delta`, `--limit` below 1 and above sys.maxsize,
+`verify --random --trace`, and `count` past inclusion-exclusion's limit,
+past dp's and past both.  Each one runs as `python -m msetgray.cli` from
 this tree's src/ and from OTHER_ROOT's, and the two must agree in stdout,
 stderr and exit code.  Prints the counts when all agree; otherwise names the first
 invocation that differs and exits 1.
@@ -55,6 +56,10 @@ def refusal_invocations():
     for limit in ("0", "9223372036854775808"):
         yield ["enumerate", *spec, "--limit", limit]
     yield ["verify", "--random", "--trace"]
+    yield ["count", "--uniform", "1", "--n", "25", "--k", "3", "--method", "ie"]
+    yield ["count", "--method", "dp", "--uniform", str(10**300), "--n", "24",
+           "--k", str(10**200)]
+    yield ["count", "--uniform", "3", "--n", "100000", "--k", "150000"]
 
 
 def run(root: Path, argv: list[str]) -> tuple[bytes, bytes, int]:

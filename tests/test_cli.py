@@ -430,7 +430,8 @@ class TestCount:
         assert code == 0
         assert out.strip() == str(count_dp(MultisetSpec(m=(2,) * 30, k=10)))
         assert err.splitlines() == [
-            "note: n=30 > 24: inclusion-exclusion skipped, counted by dp alone"
+            "note: inclusion-exclusion over 2^30 subsets exceeds limit (n <= 24); "
+            "counted by dp alone"
         ]
 
     def test_large_n_ie_alone_exits_2(self, capsys):
@@ -470,7 +471,10 @@ class TestCount:
         )
         assert code == 0
         assert out == f"{math.comb(1000003, 3)}\n"
-        assert err == "note: n*(k+1) > 4000000: dp skipped, counted by inclusion-exclusion alone\n"
+        assert err == (
+            "note: dp over n*(k+1) cells exceeds limit (n*(k+1) <= 4000000); "
+            "counted by inclusion-exclusion alone\n"
+        )
 
     def test_past_both_limits_exits_2(self, capsys):
         code, out, err = run_cli(
@@ -481,6 +485,23 @@ class TestCount:
             "error: inclusion-exclusion over 2^100000 subsets exceeds limit (n <= 24), "
             "and dp over n*(k+1) cells exceeds limit (n*(k+1) <= 4000000)\n"
         )
+
+    @pytest.mark.parametrize(
+        "limit, value, note",
+        [
+            ("IE_SUBSET_LIMIT", 3,
+             "inclusion-exclusion over 2^4 subsets exceeds limit (n <= 3); counted by dp alone"),
+            ("DP_CELL_LIMIT", 5, "dp over n*(k+1) cells exceeds limit (n*(k+1) <= 5); "
+             "counted by inclusion-exclusion alone"),
+        ],
+        ids=["ie", "dp"],
+    )
+    def test_follows_patched_counter_limit(self, capsys, monkeypatch, limit, value, note):
+        # The caps live in counting alone: a patched cap moves the CLI too.
+        monkeypatch.setattr(f"msetgray.counting.{limit}", value)
+        code, out, err = run_cli(capsys, "count", "--m", "1,1,1,1", "--k", "2")
+        assert (code, out) == (0, "6\n")
+        assert err.splitlines() == [f"note: {note}"]
 
     def test_count_past_the_int_to_str_cap(self, capsys):
         # comb(10**200 + 23, 23) has 4,578 digits, past CPython's default cap
@@ -591,6 +612,15 @@ class TestVerify:
         assert err == "error: --max-n must be <= 20: brute force scans 2^n vectors or more\n"
         code, _, err = run_cli(capsys, "verify", "--random", "--count", "1", "--max-n", "20")
         assert (code, err, drawn) == (0, "", [20])
+
+    def test_random_max_n_follows_patched_brute_force_limit(self, capsys, monkeypatch):
+        # --max-n's cap is read from reference at call time, as brute_force reads it.
+        drawn = []
+        monkeypatch.setattr("msetgray.verify.random_spec", lambda *a: drawn.append(a))
+        monkeypatch.setattr("msetgray.reference.BRUTE_FORCE_LIMIT", 2**10)
+        code, out, err = run_cli(capsys, "verify", "--random", "--max-n", "15")
+        assert (code, out, drawn) == (2, "", [])
+        assert err == "error: --max-n must be <= 10: brute force scans 2^n vectors or more\n"
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_random_empty_batch_exits_2(self, capsys, count):

@@ -332,5 +332,19 @@ def test_validate_vector_rejects_over_capacity():
         validate_vector(spec, (3, 0))
 
 
+def test_validate_vector_rejects_fractional_count():
+    # 0.5 + 0.5 sums to k and lies within 0..1: only the type check refuses it.
+    spec = MultisetSpec(m=(1, 1), k=1)
+    with pytest.raises(ValueError, match=r"a\[1\] must be an int, got 0\.5"):
+        validate_vector(spec, (0.5, 0.5))
+
+
+def test_validate_vector_rejects_bool_count():
+    # bool is an int subclass, refused as validate() refuses it in m and k.
+    spec = MultisetSpec(m=(1, 1), k=1)
+    with pytest.raises(ValueError, match=r"a\[2\] must be an int, got True"):
+        validate_vector(spec, (0, True))
+
+
 def test_last_combination_fills_left():
     assert last_combination(MultisetSpec(m=(1, 2, 2, 1, 1), k=4)) == (1, 2, 1, 0, 0)
