@@ -3,9 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msetgray import (
     EngineError,
@@ -713,7 +716,7 @@ class TestBench:
         code, out, _ = run_cli(capsys, "bench", "--m", "1,2,2,1,1", "--k", "4")
         assert code == 0
         header, row = out.splitlines()
-        assert header.split() == ["instance", "k", "init_ms", "objects", "obj/s", "max_step_us"]
+        assert header.split() == ["instance", "k", "init_ms", "objects", "obj/s"]
         tag, k, init_ms, objects = row.split()[:4]
         assert (tag, k, objects) == ("n=5", "4", "18")
         assert float(init_ms) > 0
@@ -744,6 +747,13 @@ class TestBench:
         assert (code, out) == (2, "")
         assert err == "error: --n needs --uniform: the grid takes n from --n-list\n"
 
+    def test_grid_with_k_and_k_ratio_exits_2(self, capsys):
+        # --k sets k at every n, so the grid would ignore --k-ratio silently.
+        argv = ("bench", "--n-list", "5,10", "--k", "3", "--k-ratio", "0.9")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: give either --k or --k-ratio, not both\n"
+
     @pytest.mark.parametrize(
         "flags",
         [["--n-list", "5,6", "--k-ratio", "0.9"], ["--uniform-m", "3"], ["--k-ratio", "0.5"]],
@@ -767,6 +777,30 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", "--m", "2,2", "--k", "2", "--max-steps", steps)
         assert (code, out) == (2, "")
         assert err == "error: --max-steps must be >= 1\n"
+
+    def test_max_steps_past_sys_maxsize(self, capsys):
+        # islice takes no stop past sys.maxsize; the run ends with its objects.
+        argv = ("bench", "--m", "2,2", "--k", "2", "--max-steps", TOO_LARGE)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split()[3] == "3"
+
+    def test_no_clock_per_step(self, capsys, monkeypatch):
+        # The steps are timed as one run: construction and the drain read
+        # the clock 3 times in all, where a clock per step would read it
+        # twice per step.
+        real, calls = time.perf_counter, []
+
+        def counted():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr("msetgray.cli.time.perf_counter", counted)
+        argv = ("bench", "--m", "3,3,3,3,3,3", "--k", "9", "--max-steps", "500")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[1].split()[3] == "501"
+        assert len(calls) <= 3
 
     @pytest.mark.parametrize("ratio", ["nan", "inf", "-0.5", "1.5"])
     def test_bad_k_ratio_exits_2(self, capsys, ratio):
@@ -896,7 +930,7 @@ def test_child_bench_fault_record():
         env=child_env(False), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1
-    assert proc.stdout.split() == ["instance", "k", "init_ms", "objects", "obj/s", "max_step_us"]
+    assert proc.stdout.split() == ["instance", "k", "init_ms", "objects", "obj/s"]
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     assert json.loads(line) == {
@@ -1011,15 +1045,90 @@ def run_limited(*argv):
          "in-place rows of k=10000000000000 cells exceed limit (k <= 1000000)"),
         (("enumerate", "--uniform", "1", "--n", str(10**10), "--k", "1", "--limit", "1"), "",
          "MemoryError"),
+        # the recursion fills memory with its list of objects, which its
+        # frames still hold while the error is written
+        (("enumerate", "--order", "lex", "--m", f"{TOO_LARGE},{TOO_LARGE}", "--k", TOO_LARGE,
+          "--limit", "1"), "", "MemoryError"),
         # the header is written before the engine's lists at n = 10**7
         (("bench", "--n-list", "10000000", "--max-steps", "1"),
-         "instance k init_ms objects obj/s max_step_us", "MemoryError"),
+         "instance k init_ms objects obj/s", "MemoryError"),
     ],
-    ids=["inplace-row", "uniform-n", "bench"],
+    ids=["inplace-row", "uniform-n", "lex-list", "bench"],
 )
 def test_out_of_memory_exits_2(argv, out, err):
     code, stdout, stderr = run_limited(*argv)
     assert (code, " ".join(stdout.split()), stderr) == (2, out, f"error: {err}\n")
+
+
+# The fuzz's flag values: small valid integers, and odd ones: negatives, one
+# past sys.maxsize, one past CPython's int/str cap, and malformed text.
+SMALL = ["0", "1", "2", "3", "4"]
+ODD = ["-1", "-3", TOO_LARGE, HUGE, "x", "1.5", "", "1,,2"]
+
+
+def either(valid, odd=ODD):
+    """A valid value three times in four, else an odd one."""
+    return st.one_of(*[st.sampled_from(valid)] * 3, st.sampled_from(odd))
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv for one of the five subcommands: spec flags in one of the
+    shapes below, and a random subset of the subcommand's own flags.  The
+    flags that bound a case's work take no value past --limit 65,
+    --max-steps 1000 or --count 3; enumerate and bench always carry theirs."""
+    value = either(SMALL)
+    values = st.lists(value, min_size=1, max_size=3).map(",".join)
+    bounded = [v for v in ODD if v not in (TOO_LARGE, HUGE)]
+    choice = st.sampled_from
+    switch = st.just(None)  # a flag that takes no value
+    command = draw(choice(["enumerate", "count", "verify", "tree", "bench"]))
+    shapes = [(), ("--m", "--k"), ("--uniform", "--n", "--k"), ("--m", "--uniform", "--n", "--k")]
+    spec = {"--m": values, "--uniform": value, "--n": value, "--k": value}
+    always = {flag: spec[flag] for flag in draw(choice(shapes))}
+    sometimes = {
+        "enumerate": {
+            "--order": choice(["lex", "gray-recursive", "gray-loopless"]),
+            "--form": choice(["vector", "inplace", "delta"]),
+            "--output": choice(["text", "json-lines"]),
+        },
+        "count": {"--method": choice(["ie", "dp", "both"])},
+        "verify": {
+            "--random": switch, "--count": either(["1", "2", "3"], bounded),
+            "--max-n": value, "--max-m": value, "--seed": value, "--trace": switch,
+        },
+        "tree": {"--mode": choice(["lex", "twisted", "twisted-global"])},
+        "bench": {"--n-list": values, "--uniform-m": value, "--k-ratio": value},
+    }[command]
+    if command == "enumerate":
+        always["--limit"] = either(["1", "2", "65"], bounded)
+    elif command == "bench":
+        always["--max-steps"] = either(["1", "2", "1000"], bounded)
+    argv = [command]
+    for flag, drawn in [*always.items(), *sometimes.items()]:
+        if flag in always or draw(st.booleans()):
+            argv += [flag] if drawn is switch else [flag, draw(drawn)]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(cli_argv())
+def test_fuzzed_argv_exits_by_the_contract(argv):
+    # Every command line ends in 0, 1 or 2 and never in a traceback: 1 with
+    # one JSON fault record or a FAIL line, 2 with one error line, after
+    # argparse's usage lines when argparse refuses.
+    code, _, err = run_limited(*argv)
+    lines = err.splitlines()
+    assert "Traceback" not in err
+    if code == 1:
+        assert lines[0].startswith("FAIL ") or len(lines) == 1 and json.loads(lines[0])
+    elif code == 2:
+        if lines[0].startswith("usage: "):
+            assert lines[-1].startswith("msetgray ") and ": error: " in lines[-1]
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert code == 0
 
 
 def test_import_skips_modules_enumerate_never_runs():
