@@ -95,20 +95,20 @@ def _fault_record(exc: Exception, spec: MultisetSpec, **fields: object) -> int:
 
 def _patched_cells(spec: MultisetSpec, form: str) -> Iterator[list[str]]:
     """The gray-loopless objects as one list of cell strings, patched after
-    each step: the two counts a vector's delta names, or the one container
+    each step: the two counts a step's pair names, or the one container
     cell that apply_move() rewrites.  The same list comes back every time,
     so each row must be used up before the next is drawn."""
     eng = GrayEngine(spec)
-    steps = iter(eng.advance, None)
+    steps = eng._pairs  # the engine's steps as plain (inc, dec) pairs
     if form == "inplace":
         state = init_container(spec, eng.current())
         cells = list(map(str, state.cells()))
         yield cells
-        for delta in steps:
-            cells[apply_move(state, delta)[2] - 1] = str(delta.inc)
+        for pair in steps:
+            cells[apply_move(state, pair)[2] - 1] = str(pair[0])
             yield cells
         return
-    a = eng._a  # the engine's own 1-based counts, which advance() rewrites
+    a = eng._a  # the engine's own 1-based counts, which each step rewrites
     cells = list(map(str, a[1:]))
     yield cells
     for inc, dec in steps:
@@ -142,7 +142,7 @@ def _rows(spec: MultisetSpec, args: argparse.Namespace, width: int) -> Iterator[
         fmt = _row_format(form, output, 1)  # one slot: the joined cells
         return map(fmt.__mod__, zip(count(1), map(", ".join, cells)))
     if order == "gray-loopless":
-        objects = iter(GrayEngine(spec).advance, None)
+        objects = GrayEngine(spec)._pairs
     else:
         objects = lex_generate(spec) if order == "lex" else gray_generate_recursive(spec)
         if form == "inplace":
@@ -323,7 +323,7 @@ def _bench_one(spec: MultisetSpec, max_steps: int) -> tuple[float, int, float]:
     t = time.perf_counter()
     eng = GrayEngine(spec)
     start = time.perf_counter()
-    steps = islice(iter(eng.advance, None), min(max_steps, sys.maxsize))
+    steps = islice(eng._pairs, min(max_steps, sys.maxsize))
     last = deque(enumerate(steps, 2), maxlen=1)
     end = time.perf_counter()
     return start - t, last[0][0] if last else 1, end - start

@@ -1,8 +1,8 @@
 """Loopless generator of adjacent bounded multiset combinations.
 
-Each call to :meth:`GrayEngine.advance` produces the next combination with
-a bounded number of arithmetic/compare/assign operations -- no loop, no
-recursion -- and reports the step as a (inc, dec) position pair.  The
+Each step produces the next combination with a bounded number of
+arithmetic/compare/assign operations -- no loop inside a step, no
+recursion -- and reports it as an (inc, dec) position pair.  The
 enumeration is conceptually a traversal of the twisted lexicographic tree
 of the object set: children of a tree node are the feasible values of the
 next vector position, and each level is swept alternately upward and
@@ -57,12 +57,13 @@ k == sum(m); any other instance can move a unit between two positions)
 never enter the traversal; the engine reports the one object and
 finishes.
 
-Nothing in advance() watches the step.  :func:`counted_advance` counts
-the bytecodes one step executes from outside, through the interpreter's
-trace hook; ``msetgray verify --trace`` reports it per step.  On CPython
-3.11 the longest path through advance()'s bytecode is 220 opcodes and
-steps reach 219: only that path joins the window's di < 0 to the descent's
-di > 0.  The tests check both, and a frozen ceiling for n = 10 to 1000.
+The steps are one generator over fast locals, yielding plain pairs;
+advance() wraps each in a ``TransitionDelta``.  Nothing in it watches the
+step: :func:`counted_advance` counts an advance()'s bytecodes from outside,
+and ``msetgray verify --trace`` reports them per step.  The longest path
+through advance() and one step is 205 opcodes on CPython 3.11 and 180 on
+3.13, and steps reach 205 and 179; the tests check both, and a frozen
+ceiling for n = 10 to 1000.
 
 One engine serves one sequential consumer; independent engines may run
 in parallel freely.
@@ -97,7 +98,8 @@ class GrayEngine:
     immediately after construction; each :meth:`advance` applies one
     adjacent step and returns its delta, then returns None exactly once
     when the sequence is exhausted (the final object stays readable).
-    A spec with N objects yields N - 1 deltas.
+    A spec with N objects yields N - 1 deltas.  The package's own loops
+    iterate ``_pairs``, the same steps as plain (inc, dec) pairs.
     """
 
     def __init__(self, spec: MultisetSpec):
@@ -118,8 +120,7 @@ class GrayEngine:
 
         if n == 1 or k == 0 or k == b[1]:
             # Single-object instance: nothing to traverse.
-            self._i = 0
-            self._start = 0
+            start = 0
             self._d = [0] * (n + 1)
             self._sum = [0] * (n + 1)
         else:
@@ -128,21 +129,19 @@ class GrayEngine:
             # stops in the last box (k < m[n]): level n is always forced, so
             # the first free level is n-1.
             start = i0 if i0 < n else n - 1
-            self._start = start
-            self._i = start
 
             # d[0] stays 0: it is read as d[ret] and d[p] when the return
             # level is the root, where no direction bias must apply.
             self._d = [0, *repeat(1, start), *repeat(-1, n - start)]
 
-            # sum[i] = a[1] + ... + a[i-1]; advance() writes the sums of
-            # levels right of the start before it reads them.
+            # sum[i] = a[1] + ... + a[i-1]; the steps write the sums of
+            # levels right of the start before they read them.
             self._sum = list(accumulate(islice(a, n), initial=0))
-        # Levels 1..start have a choice; start+1..n fill the right end.
-        self._L = self._start
-
-        # What advance() reads on every step, fetched with one attribute load.
-        self._step_state = (a, b, self._d, self._sum, up, alt, bot, m, k, n - 1)
+        # Levels 1..start have a choice; start+1..n fill the right end.  The
+        # steps hold the lists, never the engine: a generator that held it
+        # would make every engine cyclic garbage for the collector.
+        self._start = start
+        self._pairs = _steps(a, b, self._d, self._sum, up, alt, bot, m, k, n - 1, start)
 
     # -- read-only views ------------------------------------------------
 
@@ -156,8 +155,10 @@ class GrayEngine:
 
     @property
     def i(self) -> int:
-        """Current level (0 once the traversal has terminated)."""
-        return self._i
+        """Current level (0 once the traversal has terminated), read off the
+        suspended steps' frame: for tests and traces, not for a loop."""
+        frame = self._pairs.gi_frame
+        return frame.f_locals["i"] if frame is not None else 0
 
     @property
     def i0(self) -> int:
@@ -192,21 +193,37 @@ class GrayEngine:
     # -- the step --------------------------------------------------------
 
     def advance(self) -> TransitionDelta | None:
-        """Move to the next combination; None exactly once at the end.
+        """Move to the next combination; None exactly once at the end."""
+        pair = next(self._pairs, None)
+        if pair is not None:
+            # tuple.__new__ skips the Python-level __new__ of the named tuple.
+            return tuple.__new__(TransitionDelta, pair)
+        if self._finished:
+            raise EngineExhausted("advance() called after the run finished")
+        self._finished = True
+        return None
 
-        Straight-line code: no loop, no recursion, no call but the delta's
-        constructor, so the work per step does not depend on n, k or m.
-        """
-        i = self._i
-        if not i:  # only the end of the run sets level 0
-            if self._finished:
-                raise EngineExhausted("advance() called after the run finished")
-            self._finished = True
-            return None
+    # -- convenience iteration -------------------------------------------
 
-        a, b, d, sums, up, alt, bot, m, k, last = self._step_state
-        L = self._L
+    def iter_vectors(self) -> Iterator[tuple[int, ...]]:
+        """Yield every combination, starting with the current one; each is a
+        :meth:`current` copy, O(n), where advance()'s delta alone is O(1)."""
+        yield self.current()
+        for _ in self._pairs:
+            yield self.current()
+        self._finished = True  # the end, as advance() would have reported it
 
+
+def _steps(a, b, d, sums, up, alt, bot, m, k, last, i):
+    """Yield the steps of one run from level ``i``, each as a plain
+    (inc, dec) pair, over an engine's lists; i and L live in the frame.
+
+    Each step is straight-line code from the loop's head to a yield: no
+    loop inside it, no recursion, no call but the fault's constructor, so
+    the work per step does not depend on n, k or m.
+    """
+    L = i
+    while i:  # only the end of the run sets level 0
         s = sums[i]
         di = d[i]
         # The partner j and L's move, as the module docstring states them.
@@ -214,15 +231,13 @@ class GrayEngine:
         # own, never 0 or b[i], as the focus has a choice.
         rem = k - sums[L]
         j = bot[L + 1]
-        new_L = L
         if rem == 0 or rem == b[L]:
             if a[L] != (m[L] if rem else 0):  # a forced level's one value
                 j = L
-            new_L = L - 1
-            if new_L > i and d[new_L] == di:
-                new_L = alt[new_L]
-            bot[new_L + 1] = j
-            self._L = new_L
+            L -= 1
+            if L > i and d[L] == di:
+                L = alt[L]
+            bot[L + 1] = j
         elif L > i and (
             # a[L] is the end L's sweep now starts from, min(m[L], rem) or
             # max(rem - b[L+1], 0); it moved unless it is m[L] or 0 at both prefixes.
@@ -230,9 +245,8 @@ class GrayEngine:
         ):
             j = L
         elif L < last:
-            new_L = j if j < last else last
-            sums[new_L] = k - 1 if di < 0 else k - b[new_L] + 1
-            self._L = new_L
+            L = j if j < last else last
+            sums[L] = k - 1 if di < 0 else k - b[L] + 1
 
         if di > 0:
             end = k - s
@@ -256,8 +270,6 @@ class GrayEngine:
         a[j] -= di
         ai = a[i] + di
         a[i] = ai
-        # tuple.__new__ skips the Python-level __new__ of the named tuple.
-        delta = tuple.__new__(TransitionDelta, pair)
 
         if ai == end:
             # Landed on the last child: sum[i] counts the return level's unit.
@@ -271,21 +283,13 @@ class GrayEngine:
                 up[p] = p
                 alt[i] = p if d[p] == di else alt[p]
             sums[i] = s + d[ret]
-            if new_L == i:
-                self._i = ret
-                return delta
+            if L == i:
+                i = ret
+                yield pair
+                continue
             up[i] = ret
-        self._i = new_L
-        return delta
-
-    # -- convenience iteration -------------------------------------------
-
-    def iter_vectors(self) -> Iterator[tuple[int, ...]]:
-        """Yield every combination, starting with the current one; each is a
-        :meth:`current` copy, O(n), where advance()'s delta alone is O(1)."""
-        yield self.current()
-        while self.advance() is not None:
-            yield self.current()
+        i = L
+        yield pair
 
 
 def generate(spec: MultisetSpec) -> list[tuple[int, ...]]:
@@ -296,8 +300,9 @@ def generate(spec: MultisetSpec) -> list[tuple[int, ...]]:
 def counted_advance(eng: GrayEngine) -> tuple[TransitionDelta | None, int]:
     """Call ``eng.advance()`` once; return its result and the bytecodes run.
 
-    The count covers advance()'s own frame, which is the whole step (it
-    calls no Python function: the delta is built by ``tuple.__new__``),
+    The count covers advance()'s own frame and the resume of the engine's
+    steps generator it draws one pair from, which together are the whole
+    step (the delta is built by ``tuple.__new__``, no Python function),
     and no other frame run meanwhile, such as a ``gc.callbacks`` entry
     fired by an allocation.  It comes from ``sys.settrace`` with
     per-opcode events, which makes the step some twenty times slower, so
@@ -305,10 +310,10 @@ def counted_advance(eng: GrayEngine) -> tuple[TransitionDelta | None, int]:
     before the call is restored after it.
     """
     opcodes = 0
-    advance_code = type(eng).advance.__code__
+    codes = (type(eng).advance.__code__, eng._pairs.gi_code)
 
     def on_call(frame, event, arg):
-        if frame.f_code is not advance_code:
+        if frame.f_code not in codes:
             return None
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .core import MultisetSpec, TransitionDelta, to_inplace
+from .core import MultisetSpec, to_inplace
 from .engine import EngineError, GrayEngine
 
 
@@ -50,14 +50,14 @@ def init_container(spec: MultisetSpec, a: Sequence[int]) -> ContainerState:
     return ContainerState(container=container, stacks=stacks)
 
 
-def apply_move(state: ContainerState, delta: TransitionDelta) -> tuple[int, int, int]:
-    """Move one element per the step, returning (dest, source, position).
+def apply_move(state: ContainerState, delta: tuple[int, int]) -> tuple[int, int, int]:
+    """Move one element per an (inc, dec) step, returning (dest, source, position).
 
     The position is popped from the source component's stack, pushed on
     the destination's, and its container cell rewritten.  An empty source
     stack means the container lost sync with its engine.
     """
-    dest, source = delta.inc, delta.dec
+    dest, source = delta
     if not state.stacks[source]:
         raise EngineError(
             f"container desync: component {source} has no stacked position"
@@ -70,18 +70,15 @@ def apply_move(state: ContainerState, delta: TransitionDelta) -> tuple[int, int,
 
 def iter_with_container(
     spec: MultisetSpec,
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], TransitionDelta | None]]:
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, int] | None]]:
     """Drive an engine and its container together.
 
-    Yields (vector, container cells, delta) per object; the first object
-    carries delta None.
+    Yields (vector, container cells, step) per object, the step as a plain
+    (inc, dec) pair; the first object carries step None.
     """
     eng = GrayEngine(spec)
     state = init_container(spec, eng.current())
     yield eng.current(), state.cells(), None
-    while True:
-        delta = eng.advance()
-        if delta is None:
-            return
-        apply_move(state, delta)
-        yield eng.current(), state.cells(), delta
+    for pair in eng._pairs:
+        apply_move(state, pair)
+        yield eng.current(), state.cells(), pair

@@ -94,26 +94,24 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
     )
     extend(recursive_checks)
 
-    # Engine run with a synchronized container sweep.  Before each step
-    # the engine's prefix sum at the level it evaluates must equal
-    # a[1] + ... + a[i-1] of the object it stands on.
+    # Engine run with a synchronized container sweep.  Before each step,
+    # the sum kept at its focus, the lower of its two positions (the partner
+    # lies below), must equal a[1] + ... + a[i-1] of the object it leaves.
     eng = GrayEngine(spec)
     state = init_container(spec, eng.current())
     engine_seq = [eng.current()]
     before = state.cells()
+    sums = eng.sum
     in_place_failure = one_cell_failure = ""  # each container check's first failure
-    while True:
-        level = eng.i
-        if level:
-            kept, actual = eng.sum[level - 1], sum(engine_seq[-1][: level - 1])
-            if kept != actual:
-                raise EngineError(
-                    f"m={spec.m} k={spec.k} step {len(engine_seq) - 1}: level {level} "
-                    f"keeps sum[{level}]={kept}, but a[1]+...+a[{level - 1}]={actual}"
-                )
-        delta = eng.advance()
-        if delta is None:
-            break
+    for delta in eng._pairs:
+        level = min(delta)
+        kept, actual = sums[level - 1], sum(engine_seq[-1][: level - 1])
+        if kept != actual:
+            raise EngineError(
+                f"m={spec.m} k={spec.k} step {len(engine_seq) - 1}: level {level} "
+                f"keeps sum[{level}]={kept}, but a[1]+...+a[{level - 1}]={actual}"
+            )
+        sums = eng.sum
         apply_move(state, delta)
         after = state.cells()
         engine_seq.append(eng.current())

@@ -149,7 +149,7 @@ def test_criterion_5_looplessness():
         maxima[n] = max(counted_advance(eng)[1] for _ in range(10_000))
     measured = (
         f"measured maxima {maxima}, OPCODE_CEILING {OPCODE_CEILING} "
-        "(frozen for CPython 3.11; bytecode differs between versions)"
+        "(frozen per interpreter version; bytecode differs between versions)"
     )
     assert all(mx <= OPCODE_CEILING for mx in maxima.values()), measured
     assert max(maxima.values()) == OPCODE_CEILING, measured

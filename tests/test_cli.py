@@ -28,6 +28,7 @@ from msetgray import (
     twist,
     validate_vector,
 )
+from msetgray import engine
 from msetgray.cli import INPLACE_ROW_LIMIT, main
 
 from example_data import (
@@ -323,15 +324,18 @@ class TestEnumerateFailure:
     """A fault mid-stream keeps the rows written and ends in one JSON record."""
 
     def fail_after(self, monkeypatch, steps):
-        real = GrayEngine.advance
+        # Every engine made from now on draws its steps from a generator
+        # that faults once ``steps`` steps have passed, counted over all.
+        real = engine._steps
         calls = iter(range(steps))
 
-        def advance(self):
-            if next(calls, None) is None:
-                raise EngineError("arrived at an exhausted level: i=5, a[i]=1")
-            return real(self)
+        def faulty(*args):
+            for pair in real(*args):
+                if next(calls, None) is None:
+                    raise EngineError("arrived at an exhausted level: i=5, a[i]=1")
+                yield pair
 
-        monkeypatch.setattr(GrayEngine, "advance", advance)
+        monkeypatch.setattr(engine, "_steps", faulty)
 
     # A fault inside the first block of 64 rows, and one in the third.
     @pytest.mark.parametrize("output", ["text", "json-lines"])
@@ -913,16 +917,17 @@ def test_child_exit_error_record():
 
 
 def test_child_bench_fault_record():
-    # An advance() that faults after 5 steps, installed before entry() runs.
+    # Engine steps that fault after 5 steps, installed before entry() runs.
     inject = (
+        "from msetgray import engine\n"
         "from msetgray.cli import entry\n"
-        "from msetgray.engine import EngineError, GrayEngine\n"
-        "real, calls = GrayEngine.advance, iter(range(5))\n"
-        "def advance(self):\n"
-        "    if next(calls, None) is None:\n"
-        "        raise EngineError('injected fault')\n"
-        "    return real(self)\n"
-        "GrayEngine.advance = advance\n"
+        "real, calls = engine._steps, iter(range(5))\n"
+        "def faulty(*args):\n"
+        "    for pair in real(*args):\n"
+        "        if next(calls, None) is None:\n"
+        "            raise engine.EngineError('injected fault')\n"
+        "        yield pair\n"
+        "engine._steps = faulty\n"
         "entry()\n"
     )
     proc = subprocess.run(

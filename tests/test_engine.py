@@ -4,6 +4,7 @@ import itertools
 import linecache
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -29,92 +30,154 @@ from msetgray import (
     twist,
 )
 
+from msetgray import engine
 from msetgray.core import suffix_capacities
 from msetgray.verify import random_spec
 
 from example_data import ENGINE_SEQUENCE, EXAMPLE_SPEC, OPCODE_CEILING
 
 
-# The names advance() may load as globals: what it calls (tuple.__new__
-# and the two exception constructors) and the delta's type.
-STEP_GLOBALS = {"tuple", "TransitionDelta", "EngineError", "EngineExhausted"}
+# The names each part of a step may load as globals: what it calls (next,
+# tuple.__new__ and the exception constructors) and the delta's type.
+ADVANCE_GLOBALS = {"next", "tuple", "TransitionDelta", "EngineExhausted"}
+STEPS_GLOBALS = {"EngineError"}
 UNCONDITIONAL_JUMPS = {
     "JUMP", "JUMP_FORWARD", "JUMP_ABSOLUTE", "JUMP_BACKWARD",
     "JUMP_NO_INTERRUPT", "JUMP_BACKWARD_NO_INTERRUPT",
 }
 EXITS = {"RETURN_VALUE", "RETURN_CONST", "RAISE_VARARGS", "RERAISE"}
-# Loops, try blocks, nested code, imports and closures (CPython 3.10-3.13
-# opcode names; only 3.11 is tested).
+# Loops over iterators, try blocks, delegation, nested code, imports and
+# closures (CPython 3.10-3.13 opcode names).
 FORBIDDEN_PREFIXES = (
-    "SETUP_", "FOR_ITER", "GET_", "YIELD", "MAKE_FUNCTION", "IMPORT_",
+    "SETUP_", "FOR_ITER", "GET_", "SEND", "YIELD_FROM", "MAKE_FUNCTION", "IMPORT_",
     "LOAD_DEREF", "LOAD_NAME", "LOAD_CLOSURE",
 )
 
 
-def longest_straight_line_path():
-    """The opcodes of the longest path through GrayEngine.advance.
-
-    Asserts first that the bytecode cannot repeat itself or call Python
-    code: every jump goes forward, the exception table is empty (no
-    try), no function or generator is built, the only globals loaded
-    are STEP_GLOBALS, every attribute read or written is an instance
-    attribute (so no property runs, and no method of the class can be
-    called back) or tuple's ``__new__``, and there is one call per
-    allowed callee.  The forward jumps then form a DAG, and the path is
-    its longest from the first instruction to an exit.  Paths that no
-    input takes count too, so a traced step stays within it.
-    """
-    code = GrayEngine.advance.__code__
-    # Only the opcodes a traced step reports: all but RESUME, which no jump
-    # targets.
-    instructions = [ins for ins in dis.get_instructions(code) if ins.opname != "RESUME"]
-    assert not getattr(code, "co_exceptiontable", b""), "exception table"
-    jumps = set(dis.hasjrel) | set(dis.hasjabs)
-    index = {ins.offset: n for n, ins in enumerate(instructions)}
-    calls = 0
-    for ins in instructions:
+def assert_no_python_calls(code, names, calls):
+    """Assert that ``code`` calls no Python code but its ``calls`` calls:
+    the only globals loaded are ``names``, every attribute read or written
+    is an instance attribute (so no property runs, and no method of the
+    class can be called back) or tuple's ``__new__``, and no loop over an
+    iterator, try block, function, closure or import is built.  The only
+    exception handler allowed is the one 3.12+ wraps around a generator's
+    body, which turns a StopIteration into a RuntimeError."""
+    for entry in dis.Bytecode(code).exception_entries:
+        handler = next(ins for ins in dis.get_instructions(code) if ins.offset == entry.target)
+        assert handler.argrepr == "INTRINSIC_STOPITERATION_ERROR", entry
+    made = 0
+    for ins in dis.get_instructions(code):
         name = ins.opname
         assert not name.startswith(FORBIDDEN_PREFIXES), ins
-        if ins.opcode in jumps:
-            assert ins.argval > ins.offset, f"backward jump: {ins}"
         if name == "LOAD_GLOBAL":
-            assert ins.argval in STEP_GLOBALS, ins
+            assert ins.argval in names, ins
         if name in {"LOAD_ATTR", "LOAD_METHOD", "STORE_ATTR"}:
             assert ins.argval == "__new__" or not hasattr(GrayEngine, ins.argval), ins
-        calls += name.startswith("CALL")
-    assert calls == 3, f"{calls} calls"
+        made += name.startswith("CALL") and name != "CALL_INTRINSIC_1"
+    assert made == calls, f"{made} calls"
 
-    # longest[n]: the length of the longest path from instruction n to an
-    # exit; follow[n]: the next instruction on it (None at an exit).
-    longest = [0] * len(instructions)
-    follow = [None] * len(instructions)
-    for n in range(len(instructions) - 1, -1, -1):
-        ins = instructions[n]
-        nexts = [] if ins.opname in EXITS | UNCONDITIONAL_JUMPS else [n + 1]
-        if ins.opcode in jumps:
-            nexts.append(index[ins.argval])
-        follow[n] = max(nexts, key=longest.__getitem__, default=None)
-        longest[n] = 1 + (0 if follow[n] is None else longest[follow[n]])
-    path, n = [], 0
-    while n is not None:
-        path.append(instructions[n])
-        n = follow[n]
-    return path
+
+def longest_path(code, ends):
+    """The length and opcodes of the longest path through ``code`` that a
+    traced run can take from a resume to an instruction ``ends`` accepts.
+
+    A run starts after a RESUME: the function's first, or one that follows
+    a yield.  A yield ends it, as an exit does, so a generator's loop is
+    walked from one yield to the next.  The instructions a run reports are
+    all but RESUME.  An EXTENDED_ARG counts with the instruction it
+    extends: 3.11 reports the prefix alone, 3.12+ both.  A step tests the
+    sign of its direction ``di`` twice, in the window and in the descent,
+    and both read the same ``di``: a path takes one sign at both.  Asserts
+    that no run can repeat an instruction; the paths then form a DAG, and
+    paths that no input takes count too, so a traced run stays within the
+    longest.
+    """
+    folded = sys.version_info < (3, 12)
+    instructions = list(dis.get_instructions(code))
+    nodes, weight, node_at, prefixes = [], [], {}, 0
+    for ins in instructions:
+        node_at[ins.offset] = len(nodes)  # RESUME and EXTENDED_ARG: the next node
+        if ins.opname in {"EXTENDED_ARG", "RESUME"}:
+            prefixes += ins.opname == "EXTENDED_ARG"
+            continue
+        nodes.append(ins)
+        weight.append(1 if folded else 1 + prefixes)
+        prefixes = 0
+    starts = [node_at[ins.offset] for ins in instructions if ins.opname == "RESUME"]
+    jumps = set(dis.hasjrel) | set(dis.hasjabs)
+    best, active = {}, set()
+
+    def walk(n, sign):
+        # (length, opcodes) of the longest path from node n to an accepted
+        # end when di has this sign; None if there is no such path.
+        if (n, sign) in best:
+            return best[n, sign]
+        assert n not in active, f"a run can repeat {nodes[n]}"
+        active.add(n)
+        ins = nodes[n]
+        if ins.opname in EXITS or ins.opname == "YIELD_VALUE":
+            tails = [(0, [])] if ends(ins, nodes[n - 1]) else []
+        else:
+            nexts = [] if ins.opname in UNCONDITIONAL_JUMPS else [n + 1]
+            if ins.opcode in jumps:
+                nexts.append(node_at[ins.argval])
+            test = [(x.opname, x.argval) for x in nodes[n - 3 : n]]
+            if len(nexts) == 2 and test[:2] == [("LOAD_FAST", "di"), ("LOAD_CONST", 0)] and (
+                test[2][1] in {"<", ">"}
+            ):
+                holds = (test[2][1] == ">") == (sign > 0)
+                nexts = nexts[1:] if holds == ("TRUE" in ins.opname) else nexts[:1]
+            tails = [tail for tail in (walk(m, sign) for m in nexts) if tail is not None]
+        active.discard(n)
+        tail = max(tails, key=lambda t: t[0], default=None)
+        best[n, sign] = None if tail is None else (weight[n] + tail[0], [ins] + tail[1])
+        return best[n, sign]
+
+    paths = [walk(n, sign) for n in starts for sign in (1, -1)]
+    return max(filter(None, paths), key=lambda t: t[0])
+
+
+def longest_straight_line_path():
+    """The opcodes of the longest run of the engine's steps generator from
+    a resume to a yield: the most one step can execute in the generator.
+
+    Asserts first that it calls no Python code (the fault's constructor
+    is its one call) and that no step can repeat an instruction: the
+    loop's back edge lies between a yield and the next step.
+    """
+    code = engine._steps.__code__
+    assert_no_python_calls(code, STEPS_GLOBALS, 1)
+    return longest_path(code, lambda ins, before: ins.opname == "YIELD_VALUE")[1]
 
 
 def straight_line_bound():
-    """The most opcodes one call of GrayEngine.advance can execute."""
-    return len(longest_straight_line_path())
+    """The most opcodes one call of GrayEngine.advance that returns a delta
+    can execute: its own frame's longest path to that return, plus the
+    longest step of the generator it resumes.  A call that returns None
+    resumes the generator only to its end, a shorter run."""
+    code = GrayEngine.advance.__code__
+    assert_no_python_calls(code, ADVANCE_GLOBALS, 3)
+    # advance() returns a delta as the result of its call to tuple.__new__.
+    own, _ = longest_path(
+        code, lambda ins, before: ins.opname == "RETURN_VALUE" and before.opname == "CALL"
+    )
+    steps, _ = longest_path(engine._steps.__code__, lambda ins, before: ins.opname == "YIELD_VALUE")
+    return own + steps
 
 
-# The tests advance() repeats, each with the opcodes the repeat adds to
-# the bound on CPython 3.11, which no step executes.  The descent's
-# `di < 0` repeats the window's `di > 0` (di is not stored between them),
-# and only the bound's path takes the longer arm of each: the window's
-# for di < 0, the descent's for di > 0.  (A descent also runs only when
-# d[L] equals di; the partner test's two d[L] arms are equally long, so
-# no path gains from that pairing.)
-BOUND_GAP = {"sums[new_L] = k - 1 if di < 0 else k - b[new_L] + 1": 1}
+# Per interpreter, the opcodes the bound counts and no step executes,
+# each named by the code that makes them; another version starts with
+# none named.  On 3.11 there are none: the bound is reached.  On 3.13 the
+# fused LOAD_FAST_LOAD_FAST merges three pairs of loads in the partner
+# test's d[L] < 0 arm, `a[L] < m[L] or rem < m[L]`, and two in its
+# d[L] > 0 arm, `a[L] > 0 or rem > b[L + 1]`, so the latter runs one
+# opcode more (12 against 11; on 3.11 both run 14).  The bound's path is a
+# di < 0 step that takes that arm and then descends, but a descent runs
+# only when d[L] equals di.
+BOUND_GAP = {
+    (3, 11): {},
+    (3, 13): {"a[L] > 0 or rem > b[L + 1]": 1},
+}.get(sys.version_info[:2], {})
 
 
 class TestInit:
@@ -269,6 +332,13 @@ class TestAdvance:
         for vec in eng.iter_vectors():
             assert sum(vec) == 4
 
+    def test_iter_vectors_to_the_end_finishes_the_engine(self):
+        eng = GrayEngine(EXAMPLE_SPEC)
+        assert list(eng.iter_vectors()) == ENGINE_SEQUENCE
+        assert eng.finished and eng.i == 0
+        with pytest.raises(EngineExhausted):
+            eng.advance()
+
     def test_deltas_replay_the_sequence(self):
         # Applying the delta stream (with capacity checks on) must walk
         # the same vectors; capacity preconditions never fire mid-run.
@@ -420,11 +490,11 @@ class TestInstrumentation:
                         if delta is None:
                             break
         assert steps == 66_429 + 15_625
-        code = GrayEngine.advance.__code__
+        code = engine._steps.__code__
         lines = dict.fromkeys(ins.positions.lineno for ins in path)
         assert most + sum(BOUND_GAP.values()) == bound, (
             f"traced maximum {most}, static bound {bound}, named gap {BOUND_GAP}; the "
-            "bound's path runs through advance() at\n" + "\n".join(
+            "bound's path runs through the steps at\n" + "\n".join(
                 f"{line}: {linecache.getline(code.co_filename, line).strip()}" for line in lines
             )
         )
@@ -487,3 +557,26 @@ def test_state_views_are_tuples():
     eng = GrayEngine(EXAMPLE_SPEC)
     for view in (eng.current(), eng.d, eng.b, eng.sum, eng.up):
         assert isinstance(view, tuple)
+
+
+def test_dropped_engine_leaves_no_cycle():
+    # The steps generator holds the engine's lists, not the engine, so a
+    # mid-run engine that is dropped is freed without the cycle collector.
+    # (The collector would free a cycle through a suspended generator and
+    # still report 0 on 3.11 and 3.13: closing the generator breaks the cycle before
+    # the count is taken, so the weak reference is the check that bites.)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        eng = GrayEngine(EXAMPLE_SPEC)
+        for _ in range(3):
+            eng.advance()
+        assert eng.i  # mid-run: the generator is suspended inside its loop
+        engine_ref = weakref.ref(eng)
+        del eng
+        assert engine_ref() is None
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -1,4 +1,5 @@
 import gc
+from itertools import accumulate
 
 import pytest
 
@@ -99,23 +100,26 @@ def test_engine_order_fault_names_first_bad_pair(monkeypatch, swaps, first_bad):
     # in swaps.  Swapping 7 and 8 of the worked example leaves pair 7
     # adjacent and breaks pair 8; swapping 2 and 3 as well breaks pair 3.
     class Swapped:
-        i = 0  # level 0: the prefix-sum check has nothing to compare
-
         def __init__(self, spec):
             self.objects = generate(spec)
             for j in swaps:
                 self.objects[j], self.objects[j + 1] = self.objects[j + 1], self.objects[j]
-            self.deltas = iter(GrayEngine(spec).advance, None)
             self.step = 0
+            self._pairs = self.steps(GrayEngine(spec)._pairs)
+
+        def steps(self, pairs):
+            for pair in pairs:
+                self.step += 1
+                yield pair
 
         def current(self):
             return self.objects[self.step]
 
-        def advance(self):
-            delta = next(self.deltas, None)
-            if delta is not None:
-                self.step += 1
-            return delta
+        @property
+        def sum(self):
+            # The prefix sums of the object it stands on: the prefix-sum
+            # check has nothing to find.
+            return tuple(accumulate(self.current(), initial=0))
 
     monkeypatch.setattr("msetgray.verify.GrayEngine", Swapped)
     report = run_spec_checks(EXAMPLE_SPEC)
