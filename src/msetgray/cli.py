@@ -237,10 +237,10 @@ def _print_trace(spec: MultisetSpec) -> None:
 
     eng = GrayEngine(spec)
     while True:
-        level = eng.i
         delta, opcodes = counted_advance(eng)
         if delta is None:
             return
+        level = min(delta)  # the focus, which the partner lies below
         up = eng.i < level
         print(json.dumps({"level": level, "inc": delta.inc, "dec": delta.dec,
                           "up": int(up), "down": int(not up), "ops": opcodes}))
@@ -348,9 +348,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         n_values = _int_list(n_list, "--n-list")
         if not 0 <= k_ratio <= 1:  # also rejects nan
             raise InvalidSpecError("--k-ratio must be within [0, 1]")
+        from fractions import Fraction
+
+        ratio = Fraction(repr(k_ratio))  # k = floor(sum(m) * r), exactly
         for n in n_values:
             m = (uniform_m,) * n
-            k = args.k if args.k is not None else int(sum(m) * k_ratio)
+            k = args.k if args.k is not None else int(sum(m) * ratio)
             specs.append(MultisetSpec(m=m, k=k))  # validated before the header
 
     print(f"{'instance':>12} {'k':>8} {'init_ms':>10} {'objects':>10} {'obj/s':>12}")

@@ -52,10 +52,10 @@ the focus either jumps to the return level (if i is now L) or moves down
 to L, leaving its return level in up[i].  Reaching level 0 terminates
 the run with the final object in ``a``.
 
-Instances whose object set is a single vector (n == 1, k == 0 or
+An instance whose object set is a single vector (n == 1, k == 0 or
 k == sum(m); any other instance can move a unit between two positions)
-never enter the traversal; the engine reports the one object and
-finishes.
+starts at level 0 with the same lists as any other, so its steps end at
+once and the engine reports the one object.
 
 The steps are one generator over fast locals, yielding plain pairs;
 advance() wraps each in a ``TransitionDelta``.  Nothing in it watches the
@@ -118,25 +118,19 @@ class GrayEngine:
         alt = [0] * (n + 1)
         bot = [n] * (n + 1)
 
-        if n == 1 or k == 0 or k == b[1]:
-            # Single-object instance: nothing to traverse.
-            start = 0
-            self._d = [0] * (n + 1)
-            self._sum = [0] * (n + 1)
-        else:
-            # The first change happens at the deepest level with a sibling
-            # choice.  That is the fill stop level i0, except when the fill
-            # stops in the last box (k < m[n]): level n is always forced, so
-            # the first free level is n-1.
-            start = i0 if i0 < n else n - 1
+        # The first change happens at the deepest level with a sibling
+        # choice: the fill stop level i0, or n-1 when the fill stops in the
+        # last box (k < m[n]), as level n is always forced.  A one-object
+        # spec has none and starts at level 0, where the steps end at once.
+        start = i0 if i0 < n else (n - 1 if k else 0)
 
-            # d[0] stays 0: it is read as d[ret] and d[p] when the return
-            # level is the root, where no direction bias must apply.
-            self._d = [0, *repeat(1, start), *repeat(-1, n - start)]
+        # d[0] stays 0: it is read as d[ret] and d[p] when the return
+        # level is the root, where no direction bias must apply.
+        self._d = [0, *repeat(1, start), *repeat(-1, n - start)]
 
-            # sum[i] = a[1] + ... + a[i-1]; the steps write the sums of
-            # levels right of the start before they read them.
-            self._sum = list(accumulate(islice(a, n), initial=0))
+        # sum[i] = a[1] + ... + a[i-1]; the steps write the sums of
+        # levels right of the start before they read them.
+        self._sum = list(accumulate(islice(a, n), initial=0))
         # Levels 1..start have a choice; start+1..n fill the right end.  The
         # steps hold the lists, never the engine: a generator that held it
         # would make every engine cyclic garbage for the collector.

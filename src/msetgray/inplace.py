@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .core import MultisetSpec, to_inplace
+from .core import MultisetSpec, to_inplace, validate_vector
 from .engine import EngineError, GrayEngine
 
 
@@ -41,7 +41,8 @@ class ContainerState:
 
 def init_container(spec: MultisetSpec, a: Sequence[int]) -> ContainerState:
     """Build the container for a starting vector (sorted expansion) and
-    populate the stacks left to right."""
+    populate the stacks left to right; ValueError unless ``a`` is valid."""
+    validate_vector(spec, a)
     cells = to_inplace(spec, a)
     container = [0] + list(cells)
     stacks: list[list[int]] = [[] for _ in range(spec.n + 1)]

@@ -5,8 +5,9 @@
 Runs every `enumerate` --order x --form x --output on ten specs, each with
 no --limit, --limit 1, --limit 3 and --limit 65 (one row past enumerate's
 first block of 64 rows): 720 invocations.  On the same specs
-it runs `count` with each --method, `verify` and `tree` with each --mode:
-70 more.  Seven refusals follow, each one `error:` line with exit 2:
+it runs `count` with each --method, `verify` with and without --trace,
+and `tree` with each --mode: 80 more.  Seven refusals follow, each one
+`error:` line with exit 2:
 `--order lex --form delta`, `--limit` below 1 and above sys.maxsize,
 `verify --random --trace`, and `count` past inclusion-exclusion's limit,
 past dp's and past both.  Each one runs as `python -m msetgray.cli` from
@@ -46,6 +47,7 @@ def other_invocations():
         for method in ("ie", "dp", "both"):
             yield ["count", *spec, "--method", method]
         yield ["verify", *spec]
+        yield ["verify", *spec, "--trace"]
         for mode in ("lex", "twisted", "twisted-global"):
             yield ["tree", *spec, "--mode", mode]
 

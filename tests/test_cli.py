@@ -775,6 +775,24 @@ class TestBench:
         rows = [line.split()[:2] for line in out.splitlines()[1:]]
         assert rows == [["n=10", "15"], ["n=100", "150"], ["n=1000", "1500"]]
 
+    @pytest.mark.parametrize(
+        "n, m, ratio, k",
+        # k = floor(sum(m) * ratio) exactly.  In floats the first product
+        # rounds to 2**54, past sum(m), the second to 28.999999999999996,
+        # and the third overflows.
+        [
+            ("1", "18014398509481983", "1", "18014398509481983"),
+            ("100", "1", "0.29", "29"),
+            ("3", str(10**400), "0.5", str(15 * 10**399)),
+        ],
+        ids=["past-2**53", "0.29", "past-float-range"],
+    )
+    def test_k_ratio_is_exact(self, capsys, n, m, ratio, k):
+        argv = ("bench", "--n-list", n, "--uniform-m", m, "--k-ratio", ratio, "--max-steps", "5")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split()[:2] == [f"n={n}", k]
+
     @pytest.mark.parametrize("steps", ["0", "-1"])
     def test_no_steps_exits_2(self, capsys, steps):
         # Timing no step would print a rate from an empty loop.
@@ -1017,10 +1035,8 @@ TOO_LARGE = str(10**20)  # past sys.maxsize, so no tuple of that length can exis
           for command in ("count", "enumerate", "verify", "tree")],
         (("bench", "--n-list", TOO_LARGE),
          "OverflowError: cannot fit 'int' into an index-sized integer"),
-        (("bench", "--n-list", "3", "--uniform-m", str(10**400)),
-         "OverflowError: int too large to convert to float"),
     ],
-    ids=["count", "enumerate", "verify", "tree", "bench-n-list", "bench-k-ratio"],
+    ids=["count", "enumerate", "verify", "tree", "bench-n-list"],
 )
 def test_oversized_integer_exits_2(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")

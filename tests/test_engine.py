@@ -197,6 +197,12 @@ class TestInit:
         assert eng.advance() is None
         assert eng.finished
 
+    def test_single_object_views(self):
+        # Every level lies right of start 0: it sweeps down, and its sum
+        # holds the prefix sum, as on any other spec.
+        eng = GrayEngine(MultisetSpec(m=(2, 2), k=4))
+        assert (eng.d, eng.sum, eng.up) == ((-1, -1), (0, 2), (0, 1, 2))
+
     def test_two_box_start(self):
         eng = GrayEngine(MultisetSpec(m=(2, 2), k=2))
         assert eng.i0 == 1
@@ -242,10 +248,8 @@ def expected_initial_state(spec):
     n, k = spec.n, spec.k
     a, i0 = first_combination(spec)
     b = tuple(loop_suffix_capacities(spec.m)[1:])
-    if a == last_combination(spec):
-        zeros = (0,) * n
-        return dict(current=a, i0=0, b=b, d=zeros, sum=zeros, up=tuple(range(n + 1)))
-    start = i0 if i0 < n else n - 1
+    # A one-object spec starts at level 0, with every level right of it.
+    start = 0 if a == last_combination(spec) else i0 if i0 < n else n - 1
     sums, prefix = [], 0
     for i in range(1, n + 1):
         sums.append(prefix)
@@ -551,6 +555,25 @@ def test_return_links_reset_below_every_up_jump():
                         own = tuple(range(eng.i, n + 1))
                         assert eng.up[eng.i:] == own, (m, k)
                     level = eng.i
+
+
+def test_focus_is_the_lower_level_of_each_step():
+    # The focus moves and its partner lies below it, so the level a step
+    # changes is min(inc, dec): verify's prefix-sum check and the trace's
+    # level read it so.  {1,2}^7 reaches a step path the n <= 5 sweep does not.
+    families = [((1, 2, 3), n) for n in range(1, 6)] + [((1, 2), 7)]
+    specs = steps = 0
+    for values, n in families:
+        for m in itertools.product(values, repeat=n):
+            for k in range(sum(m) + 1):
+                eng = GrayEngine(MultisetSpec(m=m, k=k))
+                focus = eng.i
+                while (delta := eng.advance()) is not None:
+                    assert focus == min(delta), (m, k, delta)
+                    focus = eng.i
+                    steps += 1
+                specs += 1
+    assert (specs, steps) == (5_117, 139_437)
 
 
 def test_state_views_are_tuples():

@@ -35,6 +35,14 @@ class TestInitContainer:
         assert state.cells() == (2, 2)
         assert state.stack(2) == (1, 2)
 
+    @pytest.mark.parametrize(
+        "a, message",
+        [((1, 0), r"^sum\(a\)=1 != k=2$"), ((3, 0), r"^a\[1\]=3 outside 0\.\.2$")],
+    )
+    def test_invalid_vector_raises(self, a, message):
+        with pytest.raises(ValueError, match=message):
+            init_container(MultisetSpec(m=(2, 2), k=2), a)
+
 
 class TestApplyMove:
     def test_worked_first_step(self):
