@@ -34,7 +34,7 @@ from .counting import count_dp, count_inclusion_exclusion
 from .engine import EngineError, GrayEngine, counted_advance
 from .inplace import apply_move, init_container
 from .reference import gray_generate_recursive, lex_generate
-from .treemodel import ParityMode, build_lexico_tree, export_dot, twist
+from .treemodel import ParityMode, build_lexico_tree, check_dot_size, export_dot, tree_size, twist
 from .verify import CheckResult, iter_random_specs, run_spec_checks
 
 # A container row holds k cells, and the first one is built before any row
@@ -303,6 +303,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_tree(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
+    check_dot_size(tree_size(spec))  # before a node is made
     tree = build_lexico_tree(spec)
     if args.mode == "twisted":
         tree = twist(tree, ParityMode.SKIP_SINGLE_CHILD)
@@ -343,17 +344,31 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise InvalidSpecError("--n needs --uniform: the grid takes n from --n-list")
         if args.k is not None and args.k_ratio is not None:
             raise InvalidSpecError("give either --k or --k-ratio, not both")
-        defaults = ("10,100,1000", 3, 0.5)
+        defaults = ("10,100,1000", 3, "0.5")
         n_list, uniform_m, k_ratio = (d if v is None else v for v, d in zip(grid, defaults))
         n_values = _int_list(n_list, "--n-list")
-        if not 0 <= k_ratio <= 1:  # also rejects nan
-            raise InvalidSpecError("--k-ratio must be within [0, 1]")
+        from decimal import Decimal, InvalidOperation
         from fractions import Fraction
 
-        ratio = Fraction(repr(k_ratio))  # k = floor(sum(m) * r), exactly
+        # k = floor(sum(m) * r) exactly, with r the decimal typed, not its
+        # nearest float.  A Decimal keeps the typed exponent as a number,
+        # so 1e-999999999 costs nothing until it is made a Fraction.
+        try:
+            ratio = Decimal(k_ratio)
+        except InvalidOperation:  # also a fraction such as 1/3
+            message = f"--k-ratio must be a decimal number, got {k_ratio!r}"
+            raise InvalidSpecError(message) from None
+        if not ratio.is_finite() or not 0 <= ratio <= 1:
+            raise InvalidSpecError("--k-ratio must be within [0, 1]")
         for n in n_values:
             m = (uniform_m,) * n
-            k = args.k if args.k is not None else int(sum(m) * ratio)
+            total = sum(m)
+            if args.k is not None:
+                k = args.k
+            elif ratio.adjusted() < -total.bit_length():  # total < 10**bits, ratio < 10**-bits
+                k = 0  # so the Fraction, whose denominator may be vast, is never made
+            else:
+                k = int(total * Fraction(ratio))
             specs.append(MultisetSpec(m=m, k=k))  # validated before the header
 
     print(f"{'instance':>12} {'k':>8} {'init_ms':>10} {'objects':>10} {'obj/s':>12}")
@@ -419,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p_bench)
     p_bench.add_argument("--n-list", help="default 10,100,1000")
     p_bench.add_argument("--uniform-m", type=int, help="default 3")
-    p_bench.add_argument("--k-ratio", type=float, help="default 0.5")
+    p_bench.add_argument("--k-ratio", help="default 0.5")
     p_bench.add_argument("--max-steps", type=int, default=100_000)
     p_bench.set_defaults(func=cmd_bench)
 

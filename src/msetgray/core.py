@@ -193,7 +193,8 @@ def to_inplace(spec: MultisetSpec, a: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(f"vector length {len(a)} != n={spec.n}")
     out: list[int] = []
     for ident, count in enumerate(a, start=1):
-        out.extend([ident] * count)
+        if count:
+            out += [ident] * count
     return tuple(out)
 
 

@@ -98,9 +98,11 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
     # the sum kept at its focus, the lower of its two positions (the partner
     # lies below), must equal a[1] + ... + a[i-1] of the object it leaves.
     eng = GrayEngine(spec)
-    state = init_container(spec, eng.current())
-    engine_seq = [eng.current()]
-    before = state.cells()
+    current = eng.current
+    state = init_container(spec, current())
+    cells = state.cells
+    engine_seq = [current()]
+    before = cells()
     sums = eng.sum
     in_place_failure = one_cell_failure = ""  # each container check's first failure
     for delta in eng._pairs:
@@ -113,8 +115,8 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
             )
         sums = eng.sum
         apply_move(state, delta)
-        after = state.cells()
-        engine_seq.append(eng.current())
+        after = cells()
+        engine_seq.append(current())
         if sum(map(ne, before, after)) != 1 and not one_cell_failure:
             one_cell_failure = f"step {len(engine_seq) - 1}: {before} -> {after}"
         if tuple(sorted(after)) != to_inplace(spec, engine_seq[-1]) and not in_place_failure:
@@ -145,7 +147,7 @@ def run_spec_checks(spec: MultisetSpec) -> SpecReport:
         )
     )
 
-    global_leaves = leaf_sequence(twist(tree, ParityMode.GLOBAL))
+    global_leaves = leaf_sequence(tree, ParityMode.GLOBAL)  # read without a twisted copy
     report.info["engine_equals_recursive"] = engine_equals_recursive
     report.info["twisted_tree_equals_engine"] = twisted_equals_engine
     report.info["global_tree_equals_recursive"] = global_leaves == recursive

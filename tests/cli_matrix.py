@@ -6,11 +6,14 @@ Runs every `enumerate` --order x --form x --output on ten specs, each with
 no --limit, --limit 1, --limit 3 and --limit 65 (one row past enumerate's
 first block of 64 rows): 720 invocations.  On the same specs
 it runs `count` with each --method, `verify` with and without --trace,
-and `tree` with each --mode: 80 more.  Seven refusals follow, each one
-`error:` line with exit 2:
+and `tree` with each --mode: 80 more.  Two `verify --random` batches of
+300 specs (n <= 6, m <= 3, seeds 1 and 2) follow, whose closing `info`
+lines total each informational comparison.  Nine refusals follow, each
+one `error:` line with exit 2:
 `--order lex --form delta`, `--limit` below 1 and above sys.maxsize,
-`verify --random --trace`, and `count` past inclusion-exclusion's limit,
-past dp's and past both.  Each one runs as `python -m msetgray.cli` from
+`verify --random --trace`, `count` past inclusion-exclusion's limit,
+past dp's and past both, and `tree` past the DOT limit and past the
+tree's.  Each one runs as `python -m msetgray.cli` from
 this tree's src/ and from OTHER_ROOT's, and the two must agree in stdout,
 stderr and exit code.  Prints the counts when all agree; otherwise names the first
 invocation that differs and exits 1.
@@ -50,6 +53,9 @@ def other_invocations():
         yield ["verify", *spec, "--trace"]
         for mode in ("lex", "twisted", "twisted-global"):
             yield ["tree", *spec, "--mode", mode]
+    for seed in ("1", "2"):
+        yield ["verify", "--random", "--count", "300", "--max-n", "6", "--max-m", "3",
+               "--seed", seed]
 
 
 def refusal_invocations():
@@ -62,6 +68,8 @@ def refusal_invocations():
     yield ["count", "--method", "dp", "--uniform", str(10**300), "--n", "24",
            "--k", str(10**200)]
     yield ["count", "--uniform", "3", "--n", "100000", "--k", "150000"]
+    yield ["tree", "--uniform", "2", "--n", "13", "--k", "13"]
+    yield ["tree", "--uniform", "2", "--n", "20", "--k", "20"]
 
 
 def run(root: Path, argv: list[str]) -> tuple[bytes, bytes, int]:

@@ -30,6 +30,7 @@ from msetgray import (
 )
 from msetgray import engine
 from msetgray.cli import INPLACE_ROW_LIMIT, main
+from msetgray.treemodel import LexTreeNode, iter_nodes
 
 from example_data import (
     ENGINE_SEQUENCE,
@@ -714,6 +715,42 @@ class TestTree:
         assert len(lines) == 2205
         assert lines[-2] == '  r%s [label="0\\nL1100 -"];' % ("_0" * 1100)
 
+    @pytest.mark.parametrize("mode", ["lex", "twisted", "twisted-global"])
+    def test_past_dot_limit_builds_no_node(self, capsys, monkeypatch, mode):
+        # (2,)^13, k=13 has 616,226 nodes: they are counted, and none is made.
+        made = 0
+
+        class Counted(LexTreeNode):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                nonlocal made
+                made += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr("msetgray.treemodel.LexTreeNode", Counted)
+        argv = ("tree", "--uniform", "2", "--n", "13", "--k", "13", "--mode", mode)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: 616226 nodes exceed DOT limit 50000\n")
+        assert made == 0
+
+    def test_vast_level_refused_before_it_is_walked(self):
+        # Level 1 holds 10**12 + 1 nodes.  The count takes each window's
+        # length and refuses at once; walked value by value, the level
+        # would fill the child's 512 MiB first.
+        big = str(10**12)
+        code, out, err = run_limited("tree", "--m", f"{big},{big}", "--k", big)
+        assert (code, out, err) == (2, "", "error: tree exceeds 1000000 nodes\n")
+
+    def test_dot_limit_boundary(self, capsys, monkeypatch):
+        total = sum(1 for _ in iter_nodes(build_lexico_tree(EXAMPLE_SPEC)))
+        monkeypatch.setattr("msetgray.treemodel.DOT_NODE_LIMIT", total)
+        code, out, err = run_cli(capsys, "tree", *EXAMPLE_ARGS)
+        assert (code, err, out.count("->")) == (0, "", total - 1)
+        monkeypatch.setattr("msetgray.treemodel.DOT_NODE_LIMIT", total - 1)
+        code, out, err = run_cli(capsys, "tree", *EXAMPLE_ARGS)
+        assert (code, out, err) == (2, "", f"error: {total} nodes exceed DOT limit {total - 1}\n")
+
 
 class TestBench:
     def test_single_instance(self, capsys):
@@ -779,13 +816,20 @@ class TestBench:
         "n, m, ratio, k",
         # k = floor(sum(m) * ratio) exactly.  In floats the first product
         # rounds to 2**54, past sum(m), the second to 28.999999999999996,
-        # and the third overflows.
+        # and the third overflows.  The fourth ratio has more digits than
+        # a float keeps: as a float it reads 0.3, and k would be 30.  The
+        # fifth reads 0.0 as a float, and the sixth would, as a Fraction,
+        # make 10**999999999.
         [
             ("1", "18014398509481983", "1", "18014398509481983"),
             ("100", "1", "0.29", "29"),
             ("3", str(10**400), "0.5", str(15 * 10**399)),
+            ("100", "1", "0.29999999999999999", "29"),
+            ("3", str(10**400), "1e-400", "3"),
+            ("100", "1", "1e-999999999", "0"),
         ],
-        ids=["past-2**53", "0.29", "past-float-range"],
+        ids=["past-2**53", "0.29", "past-float-range", "past-float-digits",
+             "past-float-exponent", "vast-exponent"],
     )
     def test_k_ratio_is_exact(self, capsys, n, m, ratio, k):
         argv = ("bench", "--n-list", n, "--uniform-m", m, "--k-ratio", ratio, "--max-steps", "5")
@@ -829,6 +873,12 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", "--n-list", "3", "--k-ratio", ratio)
         assert (code, out) == (2, "")
         assert err == "error: --k-ratio must be within [0, 1]\n"
+
+    @pytest.mark.parametrize("ratio", ["abc", "1/3", ""])
+    def test_k_ratio_not_a_decimal_exits_2(self, capsys, ratio):
+        code, out, err = run_cli(capsys, "bench", "--n-list", "3", "--k-ratio", ratio)
+        assert (code, out) == (2, "")
+        assert err == f"error: --k-ratio must be a decimal number, got {ratio!r}\n"
 
     def test_engine_fault_record(self, capsys, monkeypatch):
         # The first instance's 3 steps pass; the second faults after 2 more.

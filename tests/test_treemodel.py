@@ -17,7 +17,7 @@ from msetgray import (
     lex_generate,
     twist,
 )
-from msetgray.treemodel import EVEN, ODD, LexTreeNode, iter_nodes
+from msetgray.treemodel import EVEN, ODD, LexTreeNode, iter_nodes, tree_size
 from msetgray.verify import random_spec
 
 from example_data import EXAMPLE_SPEC
@@ -65,6 +65,31 @@ def small_specs(max_n=4):
         for m in itertools.product((1, 2, 3), repeat=n):
             for k in range(sum(m) + 1):
                 yield MultisetSpec(m=m, k=k)
+
+
+def tree_of(shape, label=None, level=0):
+    """A tree from nested lists: each list is a node, its items its
+    children, labelled by their index."""
+    node = LexTreeNode(label, level)
+    node.children = [tree_of(sub, i, level + 1) for i, sub in enumerate(shape)]
+    return node
+
+
+LEAF = []
+# Hand-made trees whose leaves sit at different depths.  In the first,
+# the leftmost node of depth 1 is a leaf, so the node with children right
+# of it is odd only if the leaf took its turn in the alternation.
+MIXED_DEPTH_SHAPES = [
+    [LEAF, [LEAF, LEAF], LEAF, [LEAF, LEAF, LEAF], [[LEAF, LEAF], LEAF]],
+    [[LEAF, [LEAF, LEAF]], [LEAF], [[LEAF, LEAF, LEAF], LEAF, [LEAF, LEAF]], LEAF],
+    [[[LEAF, LEAF], LEAF, [LEAF]], [LEAF, [LEAF, LEAF, LEAF]], [[LEAF], [LEAF, LEAF]]],
+    [LEAF, LEAF, [LEAF, LEAF], [[LEAF, LEAF]], LEAF, [[LEAF, LEAF], [LEAF, LEAF]]],
+    [[LEAF], [[LEAF, LEAF], LEAF], LEAF, [[[LEAF, LEAF], LEAF], [LEAF, LEAF]]],
+]
+
+
+def mixed_depth_trees():
+    return [tree_of(shape) for shape in MIXED_DEPTH_SHAPES]
 
 
 def level_sizes(spec):
@@ -151,6 +176,22 @@ class TestBuild:
             with pytest.raises(OracleLimitError, match=f"^tree exceeds {limit} nodes$"):
                 build_lexico_tree(spec)
             assert made == fits
+
+    def test_size_counts_the_build(self):
+        for spec in small_specs():
+            assert tree_size(spec) == sum(1 for _ in iter_nodes(build_lexico_tree(spec)))
+
+    @pytest.mark.parametrize("level", [0, 1, 5, 6])
+    def test_size_limit_at_the_builds_level(self, level, monkeypatch):
+        # The count refuses where the build does, with the same message.
+        sizes = level_sizes(MultisetSpec(m=(4,) * 10, k=20))
+        fits = sum(sizes[: level + 1])
+        for limit in (fits, fits + sizes[level + 1] - 1):
+            monkeypatch.setattr("msetgray.treemodel.TREE_NODE_LIMIT", limit)
+            with pytest.raises(OracleLimitError, match=f"^tree exceeds {limit} nodes$"):
+                tree_size(MultisetSpec(m=(4,) * 10, k=20))
+        monkeypatch.setattr("msetgray.treemodel.TREE_NODE_LIMIT", sum(sizes))
+        assert tree_size(MultisetSpec(m=(4,) * 10, k=20)) == sum(sizes)
 
     def test_path_sums_equal_k(self):
         tree = build_lexico_tree(MultisetSpec(m=(3, 1, 2), k=3))
@@ -268,10 +309,61 @@ class TestTwistExhaustive:
                 for grandchild in sub.children:
                     self.check(grandchild, mode)
 
+    @pytest.mark.parametrize("mode", list(ParityMode))
+    def test_mixed_depth_trees(self, mode):
+        for tree in mixed_depth_trees():
+            self.check(tree, mode)
+
     def test_childless_root(self):
         for mode in ParityMode:
             out = self.check(LexTreeNode(None, 0), mode)
             assert out.parity == (EVEN if mode is ParityMode.GLOBAL else None)
+
+
+class TestTwistedLeaves:
+    """leaf_sequence(tree, mode) reads the leaves of twist(tree, mode)
+    without the copy: the two encodings of the parity rule agree on the
+    inputs TestTwistExhaustive checks twist on."""
+
+    @staticmethod
+    def check(tree, mode):
+        before = shape(tree)
+        assert leaf_sequence(tree, mode) == leaf_sequence(twist(tree, mode))
+        assert shape(tree) == before
+
+    @pytest.mark.parametrize("mode", list(ParityMode))
+    def test_lexico_trees_and_subtrees(self, mode):
+        for spec in small_specs():
+            tree = build_lexico_tree(spec)
+            self.check(tree, mode)
+            for first in ParityMode:
+                twisted = twist(tree, first)
+                self.check(twisted, mode)
+                for sub in tree.children + twisted.children:
+                    self.check(sub, mode)
+                    for grandchild in sub.children:
+                        self.check(grandchild, mode)
+
+    @pytest.mark.parametrize("mode", list(ParityMode))
+    def test_mixed_depth_trees(self, mode):
+        for tree in mixed_depth_trees():
+            self.check(tree, mode)
+            self.check(twist(tree, mode), mode)
+
+    def test_childless_root(self):
+        for label in (None, 3):
+            for mode in ParityMode:
+                self.check(LexTreeNode(label, 0), mode)
+
+    def test_path_deeper_than_recursion_limit(self):
+        # A zigzag spine of 1,100 two-child nodes, a leaf hanging off each.
+        assert sys.getrecursionlimit() < 1101
+        tree = node = LexTreeNode(None, 0)
+        for level in range(1, 1101):
+            node.children = [LexTreeNode(0, level), LexTreeNode(1, level)]
+            node = node.children[level % 2]
+        for mode in ParityMode:
+            self.check(tree, mode)
 
 
 class TestExportDot:
